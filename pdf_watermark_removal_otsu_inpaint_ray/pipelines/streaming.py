@@ -18,8 +18,8 @@ the same loop runs one consumer task per input partition.
 
 from __future__ import annotations
 
-from ..config import scaled_parts
-
+import contextlib
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +27,9 @@ import pyarrow as pa
 
 import ray
 
-from ..config import DEFAULT_CONFIG, EngineConfig
+from ..config import DEFAULT_CONFIG, EngineConfig, scaled_parts
 from ..sinks.exactly_once import hash_partition_ids
+from ..state import Resettable
 from ..state.keyed_state import KeyedStateActor
 from ..state.watermark_tracker import WatermarkTracker
 
@@ -37,14 +38,15 @@ def _resolve_parquet_paths(source: str) -> list[str]:
     """A stream source path → its file list in guaranteed arrival order
     (lexicographic — stream chunks are named in time order).  ONE definition
     shared by the single-consumer and partitioned engines so their notion of
-    arrival order can never desynchronize."""
+    arrival order can never desynchronize; the file rule is the one
+    ``read_sequences`` gives Ray Data (``sources.parquet.is_parquet_file``)."""
     import os
+
+    from ..sources.parquet import is_parquet_file
 
     if os.path.isdir(source):
         return sorted(
-            os.path.join(source, f)
-            for f in os.listdir(source)
-            if f.endswith(".parquet")
+            os.path.join(source, f) for f in os.listdir(source) if is_parquet_file(f)
         )
     return [source]
 
@@ -137,6 +139,114 @@ def _sink_done_sets(out_dir: str | None) -> tuple[frozenset[int], frozenset[int]
     )
 
 
+def _sink_partitions(out_dir: str | None, num_partitions: int | None) -> int:
+    """The sink partition count of a call: an explicit value wins, a sink
+    that already holds output adopts its pinned count (a resume after a
+    cluster-size change must not re-derive a different one and trip the
+    layout guard), and a fresh sink takes the cluster-scaled default."""
+    from ..sinks.exactly_once import pinned_partitions
+
+    if num_partitions is None and out_dir is not None:
+        num_partitions = pinned_partitions(out_dir)
+    return scaled_parts(8, num_partitions)
+
+
+def _sink_args(out_dir: str | None, num_partitions: int | None) -> dict:
+    """``KeyedStateActor`` sink arguments of a call that starts from the
+    sink's committed state (every run but a checkpoint resume)."""
+    sink_done, late_done, sink_epoch = _sink_done_sets(out_dir)
+    return {
+        "sink_dir": out_dir,
+        "sink_partitions": _sink_partitions(out_dir, num_partitions),
+        "sink_done": sink_done,
+        "late_done": late_done,
+        "sink_epoch": sink_epoch,
+    }
+
+
+# -- warm actor pool ---------------------------------------------------------
+#
+# Starting an actor costs a worker process (about 0.85 s apart on one cpu),
+# which dominated short streaming calls.  The inpaint engines therefore lease
+# their actors from an idle pool kept per Ray session and reset them in place.
+
+_POOL_LOCK = threading.Lock()
+_POOL: dict = {"session": None, "idle": {}, "cap": {}}
+
+
+def _ray_session() -> tuple:
+    """Identity of the connected Ray session.  The cluster id changes with
+    every new cluster and the job id with every driver connection, so a
+    handle from a session that was shut down is never leased again."""
+    return ray._private.worker.global_worker.current_cluster_and_job
+
+
+@contextlib.contextmanager
+def _leased_actors(
+    cfg: EngineConfig,
+    n_actors: int,
+    n_partitions: int,
+    sink: dict,
+    *,
+    aggregator: bool = False,
+):
+    """Lease one call's actors: ``n_actors`` ``KeyedStateActor``s built with
+    ``(cfg, **sink)``, a ``WatermarkTracker`` over ``n_partitions`` input
+    partitions and, with ``aggregator``, a ``_SaltedAggregator`` over those
+    actors.  Yields ``(actors, tracker, aggregator or None)``.
+
+    Idle actors of this Ray session are taken exclusively under the pool
+    lock and reset in place (``state.Resettable.reset``: a total re-init);
+    only the shortfall is spawned.  An idle actor found dead at reset is
+    replaced before any row is sent.  When the body returns normally the
+    actors go back to the pool, which never keeps more of a class than the
+    largest single lease of it.  When the body raises, none go back: their
+    handles drop with this frame and the actors die, so a crashed call's
+    state can never reach the next call.
+
+    Reset runs only after every method the previous call submitted has
+    completed: each caller's calls to an actor run in submission order, the
+    previous call ``ray.get``-ed its end-of-stream flush / stats / close
+    calls before returning, and its consumer tasks — the only other callers
+    — awaited every ack before they returned, including the aggregator
+    ``add`` that follows each ``maybe_finalize`` they send unawaited."""
+    counts = {KeyedStateActor: n_actors, WatermarkTracker: 1, _SaltedAggregator: int(aggregator)}
+    session = _ray_session()
+    with _POOL_LOCK:
+        if _POOL["session"] != session:
+            _POOL.update(session=session, idle={}, cap={})
+        taken = {}
+        for cls, n in counts.items():
+            _POOL["cap"][cls] = max(_POOL["cap"].get(cls, 0), n)
+            idle = _POOL["idle"].setdefault(cls, [])
+            taken[cls] = [idle.pop() for _ in range(min(n, len(idle)))]
+
+    def reset_or_spawn(cls, *args, **kwargs) -> list:
+        acks = [a.reset.remote(*args, **kwargs) for a in taken[cls]]
+        live = []
+        for a, ack in zip(taken[cls], acks):
+            try:
+                ray.get(ack)
+                live.append(a)
+            except ray.exceptions.RayActorError:
+                pass  # died while idle: replaced below
+        return live + [cls.remote(*args, **kwargs) for _ in range(counts[cls] - len(live))]
+
+    actors = reset_or_spawn(KeyedStateActor, cfg, **sink)
+    (tracker,) = reset_or_spawn(WatermarkTracker, n_partitions, cfg.allowed_lateness)
+    aggs = reset_or_spawn(_SaltedAggregator, cfg, actors)
+    yield actors, tracker, (aggs[0] if aggs else None)
+    # reached only when the body returned normally
+    with _POOL_LOCK:
+        if _POOL["session"] == session:
+            for cls, handles in (
+                (KeyedStateActor, actors), (WatermarkTracker, [tracker]),
+                (_SaltedAggregator, aggs),
+            ):
+                idle = _POOL["idle"][cls]
+                idle.extend(handles[: max(0, _POOL["cap"][cls] - len(idle))])
+
+
 def _finalize_sink(
     actors, stats, late, out_dir: str, epoch: int, consumer_metrics=None
 ) -> StreamingResult:
@@ -199,7 +309,14 @@ def run_streaming(
     layout (stage_table), and the driver only commits per-partition
     manifests at end of stream — rewritten tokens never pass through the
     driver; ``result.output`` is None (read with ``read_output(out_dir)``).
-    Ray must already be initialised by the caller.
+    Ray must already be initialised by the caller.  ``num_partitions``
+    defaults to the count pinned in an existing sink, else the
+    cluster-scaled default.
+
+    The state actors and the watermark tracker outlive the call: they are
+    leased from a pool kept per Ray session and reset to a fresh actor's
+    state before the next call uses them (``_leased_actors``).  A call
+    that raises returns none of them.
 
     ``checkpoint_every``: sink-mode only — every N consumed micro-batches,
     barrier the in-flight ingests, snapshot every actor's state + the
@@ -213,7 +330,6 @@ def run_streaming(
     ``_stop_after_batches`` is the test-only crash-injection hook (raises
     after consuming that many batches).
     """
-    num_partitions = scaled_parts(8, num_partitions)
     from .checkpoint import (
         clear_checkpoints,
         latest_checkpoint,
@@ -286,107 +402,104 @@ def run_streaming(
         adopt_epoch(out_dir, sink_epoch)
         adopt_epoch(late_dir(out_dir), sink_epoch)
         truncate_staged(out_dir, ck_meta["staged_files"])
-        sink_done = frozenset(committed_partitions(out_dir))
-        late_done = frozenset(committed_partitions(late_dir(out_dir)))
+        sink = {
+            "sink_dir": out_dir,
+            "sink_partitions": _sink_partitions(out_dir, num_partitions),
+            "sink_done": frozenset(committed_partitions(out_dir)),
+            "late_done": frozenset(committed_partitions(late_dir(out_dir))),
+            "sink_epoch": sink_epoch,
+        }
         restored_wm = int(ck_meta["wm"])
     else:
-        sink_done, late_done, sink_epoch = _sink_done_sets(out_dir)
-    actors = [
-        KeyedStateActor.remote(
-            cfg,
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
-        for _ in range(n_actors)
-    ]
-    if resume_ckpt is not None:
-        ray.get(
-            [a.restore_state.remote(b) for a, b in zip(actors, ck_blobs)]
-        )
-    tracker = WatermarkTracker.remote(1, cfg.allowed_lateness)
+        sink = _sink_args(out_dir, num_partitions)
+    sink_epoch = sink["sink_epoch"]
 
-    emitted_refs: list = []
-    pending: list = []
-    wm = restored_wm
-    batch_idx = 0
-    consumed = 0
-    for batch in _arrival_batches(source, micro_batch_rows):
-        if consumed < skip_batches:
-            # already absorbed into the restored state — the re-read IS the
-            # lineage; only the tail replays
-            consumed += 1
-            continue
-        ts = np.asarray(batch["event_ts"], dtype=np.int64)
-        # the watermark a batch is judged against excludes the batch itself
-        # (it advances only after the data that generated it is absorbed).
-        # Refreshed every few batches instead of per batch: one blocking
-        # tracker round-trip per micro-batch serializes ingestion, and
-        # correctness only needs the watermark to be monotone + a lower
-        # bound of the true one (staleness delays finalization, never
-        # corrupts it).
-        if batch_idx % 4 == 0:
-            wm = max(wm, ray.get(tracker.watermark.remote()))
-        batch_idx += 1
-        route = hash_partition_ids(batch["source"].combine_chunks(), n_actors)
-        for a in range(n_actors):
-            idx = np.nonzero(route == a)[0]
-            if idx.size == 0:
-                continue
-            pending.append(actors[a].ingest.remote(batch.take(idx), wm))
-        tracker.update.remote(0, int(ts.max()))
-        consumed += 1
-        # drain completed ingests so emitted tables don't pile up as refs
-        if len(pending) >= n_actors * 4:
-            done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-            for tables, _ in ray.get(done):
-                emitted_refs.extend(tables)
-        if (
-            checkpoint_every is not None
-            and consumed > skip_batches
-            and consumed % checkpoint_every == 0
-        ):
-            # barrier: every sent ingest must be absorbed before snapshot
-            for tables, _ in ray.get(pending):
-                emitted_refs.extend(tables)
-            pending = []
-            blobs = ray.get([a.checkpoint_state.remote() for a in actors])
-            write_checkpoint(
-                out_dir,
-                consumed,
-                blobs,
-                {
-                    "epoch": sink_epoch,
-                    "wm": wm,
-                    "n_actors": n_actors,
-                    "micro_batch_rows": micro_batch_rows,
-                    "cfg_fp": cfg_fp,
-                    "src_fp": src_fp,
-                    "staged_files": staged_file_manifest(out_dir),
-                },
+    with _leased_actors(cfg, n_actors, 1, sink) as (actors, tracker, _):
+        if resume_ckpt is not None:
+            ray.get(
+                [a.restore_state.remote(b) for a, b in zip(actors, ck_blobs)]
             )
-        if _stop_after_batches is not None and consumed >= _stop_after_batches:
-            raise RuntimeError(f"injected stop after {consumed} batches")
 
-    for tables, _ in ray.get(pending):
-        emitted_refs.extend(tables)
-    for flushed in ray.get([a.flush.remote() for a in actors]):
-        emitted_refs.extend(flushed)
+        emitted_refs: list = []
+        pending: list = []
+        wm = restored_wm
+        batch_idx = 0
+        consumed = 0
+        for batch in _arrival_batches(source, micro_batch_rows):
+            if consumed < skip_batches:
+                # already absorbed into the restored state — the re-read IS
+                # the lineage; only the tail replays
+                consumed += 1
+                continue
+            ts = np.asarray(batch["event_ts"], dtype=np.int64)
+            # the watermark a batch is judged against excludes the batch
+            # itself (it advances only after the data that generated it is
+            # absorbed).  Refreshed every few batches instead of per batch:
+            # one blocking tracker round-trip per micro-batch serializes
+            # ingestion, and correctness only needs the watermark to be
+            # monotone + a lower bound of the true one (staleness delays
+            # finalization, never corrupts it).
+            if batch_idx % 4 == 0:
+                wm = max(wm, ray.get(tracker.watermark.remote()))
+            batch_idx += 1
+            route = hash_partition_ids(batch["source"].combine_chunks(), n_actors)
+            for a in range(n_actors):
+                idx = np.nonzero(route == a)[0]
+                if idx.size == 0:
+                    continue
+                pending.append(actors[a].ingest.remote(batch.take(idx), wm))
+            tracker.update.remote(0, int(ts.max()))
+            consumed += 1
+            # drain completed ingests so emitted tables don't pile up as refs
+            if len(pending) >= n_actors * 4:
+                done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
+                for tables, _ in ray.get(done):
+                    emitted_refs.extend(tables)
+            if (
+                checkpoint_every is not None
+                and consumed > skip_batches
+                and consumed % checkpoint_every == 0
+            ):
+                # barrier: every sent ingest must be absorbed before snapshot
+                for tables, _ in ray.get(pending):
+                    emitted_refs.extend(tables)
+                pending = []
+                blobs = ray.get([a.checkpoint_state.remote() for a in actors])
+                write_checkpoint(
+                    out_dir,
+                    consumed,
+                    blobs,
+                    {
+                        "epoch": sink_epoch,
+                        "wm": wm,
+                        "n_actors": n_actors,
+                        "micro_batch_rows": micro_batch_rows,
+                        "cfg_fp": cfg_fp,
+                        "src_fp": src_fp,
+                        "staged_files": staged_file_manifest(out_dir),
+                    },
+                )
+            if _stop_after_batches is not None and consumed >= _stop_after_batches:
+                raise RuntimeError(f"injected stop after {consumed} batches")
 
-    late_tables = [t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
+        for tables, _ in ray.get(pending):
+            emitted_refs.extend(tables)
+        for flushed in ray.get([a.flush.remote() for a in actors]):
+            emitted_refs.extend(flushed)
 
-    if out_dir is not None:
-        # sink mode: emitted_refs stayed empty — drain actor stage buffers,
-        # then commit per-partition manifests (driver moves manifests only)
-        res = _finalize_sink(actors, stats, late, out_dir, sink_epoch)
-        # checkpoints exist only to shorten crash recovery: once the run
-        # committed, a LATER fresh run over this dir must not "resume"
-        clear_checkpoints(out_dir)
-        return res
+        late_tables = [t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None]
+        stats = ray.get([a.state_stats.remote() for a in actors])
+        late = pa.concat_tables(late_tables) if late_tables else None
+
+        if out_dir is not None:
+            # sink mode: emitted_refs stayed empty — drain actor stage
+            # buffers, then commit per-partition manifests (driver moves
+            # manifests only)
+            res = _finalize_sink(actors, stats, late, out_dir, sink_epoch)
+            # checkpoints exist only to shorten crash recovery: once the run
+            # committed, a LATER fresh run over this dir must not "resume"
+            clear_checkpoints(out_dir)
+            return res
 
     out = (
         pa.concat_tables(emitted_refs).sort_by("doc_id")
@@ -568,26 +681,12 @@ def run_streaming_partitioned(
     driver only commits manifests at end of stream — no rewritten or late
     row ever rides the driver.  Read back with ``read_output(out_dir)`` /
     ``read_late(out_dir)``.  Returns (StreamingResult, per-partition
-    metrics).
+    metrics).  As in ``run_streaming``, the actors and tracker are leased
+    from the session's warm pool and reset between calls.
     """
-    num_partitions = scaled_parts(8, num_partitions)
     paths = _resolve_parquet_paths(source) if isinstance(source, str) else list(source)
     n_partitions = min(n_partitions, max(1, len(paths)))
     groups = [paths[i::n_partitions] for i in range(n_partitions)]
-
-    sink_done, late_done, sink_epoch = _sink_done_sets(out_dir)
-    actors = [
-        KeyedStateActor.remote(
-            cfg,
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
-        for _ in range(n_actors)
-    ]
-    tracker = WatermarkTracker.remote(n_partitions, cfg.allowed_lateness)
     source_route = None
     if source_map is not None:
         skeys = np.array(sorted(source_map), dtype=object)
@@ -601,42 +700,46 @@ def run_streaming_partitioned(
                 f"{sorted(skeys[bad][:5].tolist())}"
             )
         source_route = (skeys, sids)
-    consumer_refs = [
-        _consume_partition.remote(
-            i, groups[i], actors, tracker, n_actors, micro_batch_rows,
-            source_route,
-        )
-        for i in range(n_partitions)
-    ]
-    emitted: list[pa.Table] = []
-    if out_dir is None:
-        # drain actor outboxes WHILE consumers run: without this the whole
-        # rewritten output accumulates in actor memory until end of stream
-        # (sink mode diverts emissions to storage, so nothing to drain)
-        pending = list(consumer_refs)
-        while pending:
-            _done, pending = ray.wait(pending, timeout=0.25)
-            for tables in ray.get([a.take_outbox.remote() for a in actors]):
-                emitted.extend(tables)
-    metrics = ray.get(consumer_refs)
-    for tables in ray.get([a.flush.remote() for a in actors]):
-        emitted.extend(tables)
-    for tables in ray.get([a.take_outbox.remote() for a in actors]):
-        emitted.extend(tables)
-    late_tables = [t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
-    if out_dir is not None:
-        # sink mode: flush/outbox stayed empty (emissions were diverted);
-        # the per-partition throughput/wm-lag metrics persist with the
-        # lineage manifests
-        return (
-            _finalize_sink(
-                actors, stats, late, out_dir, sink_epoch,
-                consumer_metrics=metrics,
-            ),
-            metrics,
-        )
+
+    sink = _sink_args(out_dir, num_partitions)
+    with _leased_actors(cfg, n_actors, n_partitions, sink) as (actors, tracker, _):
+        consumer_refs = [
+            _consume_partition.remote(
+                i, groups[i], actors, tracker, n_actors, micro_batch_rows,
+                source_route,
+            )
+            for i in range(n_partitions)
+        ]
+        emitted: list[pa.Table] = []
+        if out_dir is None:
+            # drain actor outboxes WHILE consumers run: without this the
+            # whole rewritten output accumulates in actor memory until end
+            # of stream (sink mode diverts emissions to storage, so nothing
+            # to drain)
+            pending = list(consumer_refs)
+            while pending:
+                _done, pending = ray.wait(pending, timeout=0.25)
+                for tables in ray.get([a.take_outbox.remote() for a in actors]):
+                    emitted.extend(tables)
+        metrics = ray.get(consumer_refs)
+        for tables in ray.get([a.flush.remote() for a in actors]):
+            emitted.extend(tables)
+        for tables in ray.get([a.take_outbox.remote() for a in actors]):
+            emitted.extend(tables)
+        late_tables = [t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None]
+        stats = ray.get([a.state_stats.remote() for a in actors])
+        late = pa.concat_tables(late_tables) if late_tables else None
+        if out_dir is not None:
+            # sink mode: flush/outbox stayed empty (emissions were
+            # diverted); the per-partition throughput/wm-lag metrics persist
+            # with the lineage manifests
+            return (
+                _finalize_sink(
+                    actors, stats, late, out_dir, sink["sink_epoch"],
+                    consumer_metrics=metrics,
+                ),
+                metrics,
+            )
     out = pa.concat_tables(emitted).sort_by("doc_id") if emitted else None
     return (
         StreamingResult(
@@ -749,9 +852,10 @@ def run_streaming_salted(
     ``out_dir``: optional exactly-once sink — rewritten rows stage from
     each actor straight into the sink layout (the finalize_windows acks
     carry no token data), late rows into ``<out_dir>/_late``; the driver
-    commits manifests at end of stream.
+    commits manifests at end of stream.  As in ``run_streaming``, the
+    actors and tracker are leased from the session's warm pool and reset
+    between calls.
     """
-    num_partitions = scaled_parts(8, num_partitions)
     if cfg.window_kind == "session":
         return _run_salted_sessions(
             source, cfg, n_actors=n_actors, salt_buckets=salt_buckets,
@@ -760,19 +864,7 @@ def run_streaming_salted(
         )
     if cfg.window_kind not in ("tumbling", "sliding"):
         raise ValueError("salted streaming supports tumbling/sliding/session windows")
-    sink_done, late_done, sink_epoch = _sink_done_sets(out_dir)
-    actors = [
-        KeyedStateActor.remote(
-            cfg,
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
-        for _ in range(n_actors)
-    ]
-    tracker = WatermarkTracker.remote(1, cfg.allowed_lateness)
+    sink = _sink_args(out_dir, num_partitions)
 
     # ONE coordinator definition shared with the multi-consumer engine
     # (_SaltedCoordinator holds the hist merge, the sticky map — source →
@@ -782,50 +874,52 @@ def run_streaming_salted(
     coord = _SaltedCoordinator(cfg)
     emitted: list[pa.Table] = []
 
-    def finalize_due(watermark: int) -> None:
-        items = coord.due_items(watermark)
-        if not items:
-            return
-        for tables in ray.get([a.finalize_windows.remote(items) for a in actors]):
-            emitted.extend(tables)
+    with _leased_actors(cfg, n_actors, 1, sink) as (actors, tracker, _):
 
-    for batch in _arrival_batches(source, micro_batch_rows):
-        ts = np.asarray(batch["event_ts"], dtype=np.int64)
-        wm = ray.get(tracker.watermark.remote())
-        finalize_due(wm)
-        # vectorized (source, salt) -> actor routing: no per-row Python
-        # string building on the driver (the salted path exists precisely
-        # because the driver must keep up with a hot key)
-        salt = hash_partition_ids(batch["doc_id"].combine_chunks(), salt_buckets)
-        src_h = hash_partition_ids(batch["source"].combine_chunks(), 1 << 30)
-        route = ((src_h * np.int64(salt_buckets) + salt) * np.int64(1_000_003)) % n_actors
-        acks = []
-        for a in range(n_actors):
-            idx = np.nonzero(route == a)[0]
-            if idx.size:
-                acks.append(actors[a].ingest_partial.remote(batch.take(idx), wm))
-        for srcs, wins, Hm, _late_total in ray.get(acks):  # the per-batch barrier
-            coord.merge(srcs, wins, Hm)
-        tracker.update.remote(0, int(ts.max()))
+        def finalize_due(watermark: int) -> None:
+            items = coord.due_items(watermark)
+            if not items:
+                return
+            for tables in ray.get([a.finalize_windows.remote(items) for a in actors]):
+                emitted.extend(tables)
 
-    # one final pass finalizes everything in ascending window order per
-    # source (an intermediate real-watermark pass would emit an identical
-    # prefix — pure dead work)
-    finalize_due(1 << 62)
-    # anything still buffered (no hist because its contributions were all in
-    # late-dropped rows) — flush defensively
-    leftovers = ray.get([a.buffered_keys.remote() for a in actors])
-    left = sorted({k for ks in leftovers for k in map(tuple, ks)})
-    if left:
-        items = coord.leftover_items(left)
-        for tables in ray.get([a.finalize_windows.remote(items) for a in actors]):
-            emitted.extend(tables)
+        for batch in _arrival_batches(source, micro_batch_rows):
+            ts = np.asarray(batch["event_ts"], dtype=np.int64)
+            wm = ray.get(tracker.watermark.remote())
+            finalize_due(wm)
+            # vectorized (source, salt) -> actor routing: no per-row Python
+            # string building on the driver (the salted path exists
+            # precisely because the driver must keep up with a hot key)
+            salt = hash_partition_ids(batch["doc_id"].combine_chunks(), salt_buckets)
+            src_h = hash_partition_ids(batch["source"].combine_chunks(), 1 << 30)
+            route = ((src_h * np.int64(salt_buckets) + salt) * np.int64(1_000_003)) % n_actors
+            acks = []
+            for a in range(n_actors):
+                idx = np.nonzero(route == a)[0]
+                if idx.size:
+                    acks.append(actors[a].ingest_partial.remote(batch.take(idx), wm))
+            for srcs, wins, Hm, _late_total in ray.get(acks):  # the per-batch barrier
+                coord.merge(srcs, wins, Hm)
+            tracker.update.remote(0, int(ts.max()))
 
-    late_tables = [t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
-    if out_dir is not None:
-        return _finalize_sink(actors, stats, late, out_dir, sink_epoch)
+        # one final pass finalizes everything in ascending window order per
+        # source (an intermediate real-watermark pass would emit an
+        # identical prefix — pure dead work)
+        finalize_due(1 << 62)
+        # anything still buffered (no hist because its contributions were
+        # all in late-dropped rows) — flush defensively
+        leftovers = ray.get([a.buffered_keys.remote() for a in actors])
+        left = sorted({k for ks in leftovers for k in map(tuple, ks)})
+        if left:
+            items = coord.leftover_items(left)
+            for tables in ray.get([a.finalize_windows.remote(items) for a in actors]):
+                emitted.extend(tables)
+
+        late_tables = [t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None]
+        stats = ray.get([a.state_stats.remote() for a in actors])
+        late = pa.concat_tables(late_tables) if late_tables else None
+        if out_dir is not None:
+            return _finalize_sink(actors, stats, late, out_dir, sink["sink_epoch"])
     out = pa.concat_tables(emitted).sort_by("doc_id") if emitted else None
     return StreamingResult(
         output=out if out is not None else _empty_out(),
@@ -843,7 +937,7 @@ def _run_salted_sessions(
     salt_buckets: int,
     micro_batch_rows: int,
     out_dir: str | None,
-    num_partitions: int,
+    num_partitions: int | None,
 ) -> StreamingResult:
     """Coordinated session windows under hot-key salting (SURVEY §4.2).
 
@@ -858,20 +952,7 @@ def _run_salted_sessions(
     (same rule as the unsalted session path)."""
     from ..golden import detect_wm_token
 
-    sink_done, late_done, sink_epoch = _sink_done_sets(out_dir)
-    actors = [
-        KeyedStateActor.remote(
-            cfg,
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
-        for _ in range(n_actors)
-    ]
-    tracker = WatermarkTracker.remote(1, cfg.allowed_lateness)
-
+    sink = _sink_args(out_dir, num_partitions)
     sessions: dict[str, list[dict]] = {}  # src -> sorted [{start, last, hist}]
     horizons: dict[str, int] = {}
     emitted: list[pa.Table] = []
@@ -889,59 +970,63 @@ def _run_salted_sessions(
 
     sticky: dict[str, int] = {}
 
-    def finalize_due(watermark: int) -> None:
-        items: list[tuple[str, int, int, int]] = []
-        for s in sorted(sessions):
-            keep = []
-            for ses in sessions[s]:  # ascending start per source (merge invariant)
-                if ses["last"] + cfg.session_gap <= watermark:
-                    if cfg.fixed_wm_token >= 0:  # user override skips detection
-                        wm_tok = cfg.fixed_wm_token
-                    elif cfg.detection_mode == "sticky" and s in sticky:
-                        wm_tok = sticky[s]
+    with _leased_actors(cfg, n_actors, 1, sink) as (actors, tracker, _):
+
+        def finalize_due(watermark: int) -> None:
+            items: list[tuple[str, int, int, int]] = []
+            for s in sorted(sessions):
+                keep = []
+                for ses in sessions[s]:  # ascending start per source (merge invariant)
+                    if ses["last"] + cfg.session_gap <= watermark:
+                        if cfg.fixed_wm_token >= 0:  # user override skips detection
+                            wm_tok = cfg.fixed_wm_token
+                        elif cfg.detection_mode == "sticky" and s in sticky:
+                            wm_tok = sticky[s]
+                        else:
+                            wm_tok, _cov = detect_wm_token(ses["hist"], cfg)
+                            if cfg.detection_mode == "sticky" and wm_tok >= 0:
+                                sticky[s] = int(wm_tok)
+                        items.append((s, ses["start"], ses["last"], int(wm_tok)))
+                        horizons[s] = max(
+                            horizons.get(s, -(1 << 62)), ses["last"] + cfg.session_gap
+                        )
                     else:
-                        wm_tok, _cov = detect_wm_token(ses["hist"], cfg)
-                        if cfg.detection_mode == "sticky" and wm_tok >= 0:
-                            sticky[s] = int(wm_tok)
-                    items.append((s, ses["start"], ses["last"], int(wm_tok)))
-                    horizons[s] = max(
-                        horizons.get(s, -(1 << 62)), ses["last"] + cfg.session_gap
+                        keep.append(ses)
+                sessions[s] = keep
+            if items:
+                for tables in ray.get(
+                    [a.finalize_sessions_salted.remote(items) for a in actors]
+                ):
+                    emitted.extend(tables)
+
+        for batch in _arrival_batches(source, micro_batch_rows):
+            ts = np.asarray(batch["event_ts"], dtype=np.int64)
+            wm = ray.get(tracker.watermark.remote())
+            finalize_due(wm)
+            # vectorized (source, salt) -> actor routing: no per-row Python
+            # string building on the driver (the salted path exists
+            # precisely because the driver must keep up with a hot key)
+            salt = hash_partition_ids(batch["doc_id"].combine_chunks(), salt_buckets)
+            src_h = hash_partition_ids(batch["source"].combine_chunks(), 1 << 30)
+            route = ((src_h * np.int64(salt_buckets) + salt) * np.int64(1_000_003)) % n_actors
+            acks = []
+            for a in range(n_actors):
+                idx = np.nonzero(route == a)[0]
+                if idx.size:
+                    acks.append(
+                        actors[a].ingest_session_partial.remote(batch.take(idx), horizons)
                     )
-                else:
-                    keep.append(ses)
-            sessions[s] = keep
-        if items:
-            for tables in ray.get(
-                [a.finalize_sessions_salted.remote(items) for a in actors]
-            ):
-                emitted.extend(tables)
+            for srcs, starts, lasts, Hm, _n_late in ray.get(acks):  # per-batch barrier
+                merge_fragments(srcs, starts, lasts, Hm)
+            tracker.update.remote(0, int(ts.max()))
 
-    for batch in _arrival_batches(source, micro_batch_rows):
-        ts = np.asarray(batch["event_ts"], dtype=np.int64)
-        wm = ray.get(tracker.watermark.remote())
-        finalize_due(wm)
-        # vectorized (source, salt) -> actor routing: no per-row Python
-        # string building on the driver (the salted path exists precisely
-        # because the driver must keep up with a hot key)
-        salt = hash_partition_ids(batch["doc_id"].combine_chunks(), salt_buckets)
-        src_h = hash_partition_ids(batch["source"].combine_chunks(), 1 << 30)
-        route = ((src_h * np.int64(salt_buckets) + salt) * np.int64(1_000_003)) % n_actors
-        acks = []
-        for a in range(n_actors):
-            idx = np.nonzero(route == a)[0]
-            if idx.size:
-                acks.append(actors[a].ingest_session_partial.remote(batch.take(idx), horizons))
-        for srcs, starts, lasts, Hm, _n_late in ray.get(acks):  # per-batch barrier
-            merge_fragments(srcs, starts, lasts, Hm)
-        tracker.update.remote(0, int(ts.max()))
+        finalize_due(1 << 62)
 
-    finalize_due(1 << 62)
-
-    late_tables = [t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
-    if out_dir is not None:
-        return _finalize_sink(actors, stats, late, out_dir, sink_epoch)
+        late_tables = [t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None]
+        stats = ray.get([a.state_stats.remote() for a in actors])
+        late = pa.concat_tables(late_tables) if late_tables else None
+        if out_dir is not None:
+            return _finalize_sink(actors, stats, late, out_dir, sink["sink_epoch"])
     out = pa.concat_tables(emitted).sort_by("doc_id") if emitted else None
     return StreamingResult(
         output=out if out is not None else _empty_out(),
@@ -952,7 +1037,7 @@ def _run_salted_sessions(
 
 
 @ray.remote
-class _SaltedAggregator:
+class _SaltedAggregator(Resettable):
     """Global detection state of the MULTI-CONSUMER salted engine — the
     coordinated salted path's driver role moved into an actor so consumers
     scale.  Holds the per-(source, window) histogram merge, the sticky
@@ -962,19 +1047,30 @@ class _SaltedAggregator:
     invoking ``add``, so the rows are provably buffered before their
     deltas merge); finalization fans ``finalize_windows`` back out to the
     state actors.  Single-actor serialization of ``add`` makes the
-    horizon guard race-free, exactly like the driver loop it replaces."""
+    horizon guard race-free, exactly like the driver loop it replaces.
+
+    Consumers send ``maybe_finalize`` without waiting for it, so a failed
+    finalize is recorded (the first one) and re-raised by ``final_flush``:
+    its windows' histograms are already evicted, and carrying on would
+    re-emit them through the leftover path with wrong tokens."""
 
     def __init__(self, cfg: EngineConfig, actors: list):
         self.coord = _SaltedCoordinator(cfg)
         self.actors = actors
         self.outbox: list[pa.Table] = []
+        self.error: tuple[int, BaseException] | None = None
 
     def add(self, *delta_results) -> None:
         for srcs, wins, Hm, _n_late in delta_results:
             self.coord.merge(srcs, wins, Hm)
 
     def maybe_finalize(self, watermark: int) -> None:
-        self._fan_out(self.coord.due_items(int(watermark)))
+        if self.error is not None:
+            return  # the call fails at final_flush; finalize nothing more
+        try:
+            self._fan_out(self.coord.due_items(int(watermark)))
+        except Exception as e:  # noqa: BLE001 — re-raised by final_flush
+            self.error = (int(watermark), e)
 
     def _fan_out(self, items) -> None:
         if not items:
@@ -990,7 +1086,11 @@ class _SaltedAggregator:
     def final_flush(self) -> None:
         """End of stream: finalize every held histogram, then the
         leftover-buffer path (keys whose contributions were all dropped by
-        the horizon guard — same rule as the coordinated salted engine)."""
+        the horizon guard — same rule as the coordinated salted engine).
+        Raises the first error a ``maybe_finalize`` recorded."""
+        if self.error is not None:
+            wm, e = self.error
+            raise RuntimeError(f"salted aggregator: finalize at watermark {wm} failed") from e
         self._fan_out(self.coord.due_items(1 << 62))
         leftovers = ray.get([a.buffered_keys.remote() for a in self.actors])
         left = sorted({k for ks in leftovers for k in map(tuple, ks)})
@@ -1065,9 +1165,10 @@ def _consume_salted_partition(
             ts = np.asarray(batch["event_ts"], dtype=np.int64)
             if batch_idx % 4 == 0:
                 wm = max(wm, ray.get(tracker.watermark.remote()))
-                # fire-and-forget: finalization timing only delays
-                # emission — every due window's deltas are provably merged
-                # once the ack-gated global wm passed its end
+                # not awaited: finalization timing only delays emission —
+                # every due window's deltas are provably merged once the
+                # ack-gated global wm passed its end; a failure is kept by
+                # the aggregator and raised from final_flush
                 aggregator.maybe_finalize.remote(wm)
                 if wm > -(1 << 61):
                     lag = int(ts.max()) - wm
@@ -1138,8 +1239,9 @@ def run_streaming_salted_partitioned(
     time.  Tumbling/sliding, windowed or sticky detection; sessions need
     the coordinated form (fragment gap-merge).  Recovery: whole-run
     replay against the exactly-once sink (sink layouts dedup by epoch),
-    as for ``run_streaming_partitioned``."""
-    num_partitions = scaled_parts(8, num_partitions)
+    as for ``run_streaming_partitioned``.  The state actors, the tracker
+    and the aggregator are leased from the session's warm pool and reset
+    between calls, as in ``run_streaming``."""
     if cfg.window_kind not in ("tumbling", "sliding"):
         raise ValueError(
             "multi-consumer salted streaming supports tumbling/sliding "
@@ -1149,51 +1251,41 @@ def run_streaming_salted_partitioned(
     n_partitions = min(n_partitions, max(1, len(paths)))
     groups = [paths[i::n_partitions] for i in range(n_partitions)]
 
-    sink_done, late_done, sink_epoch = _sink_done_sets(out_dir)
-    actors = [
-        KeyedStateActor.remote(
-            cfg,
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
-        for _ in range(n_actors)
-    ]
-    aggregator = _SaltedAggregator.remote(cfg, actors)
-    tracker = WatermarkTracker.remote(n_partitions, cfg.allowed_lateness)
-    consumer_refs = [
-        _consume_salted_partition.remote(
-            i, groups[i], actors, aggregator, tracker,
-            n_actors, salt_buckets, micro_batch_rows,
-        )
-        for i in range(n_partitions)
-    ]
-    emitted: list[pa.Table] = []
-    if out_dir is None:
-        # drain the aggregator outbox WHILE consumers run — in
-        # driver-collect mode the whole rewritten output passes through it
-        pending = list(consumer_refs)
-        while pending:
-            _done, pending = ray.wait(pending, timeout=0.25)
-            emitted.extend(ray.get(aggregator.take_outbox.remote()))
-    metrics = ray.get(consumer_refs)
-    ray.get(aggregator.final_flush.remote())
-    emitted.extend(ray.get(aggregator.take_outbox.remote()))
-    late_tables = [
-        t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None
-    ]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
-    if out_dir is not None:
-        return (
-            _finalize_sink(
-                actors, stats, late, out_dir, sink_epoch,
-                consumer_metrics=metrics,
-            ),
-            metrics,
-        )
+    sink = _sink_args(out_dir, num_partitions)
+    with _leased_actors(cfg, n_actors, n_partitions, sink, aggregator=True) as (
+        actors, tracker, aggregator,
+    ):
+        consumer_refs = [
+            _consume_salted_partition.remote(
+                i, groups[i], actors, aggregator, tracker,
+                n_actors, salt_buckets, micro_batch_rows,
+            )
+            for i in range(n_partitions)
+        ]
+        emitted: list[pa.Table] = []
+        if out_dir is None:
+            # drain the aggregator outbox WHILE consumers run — in
+            # driver-collect mode the whole rewritten output passes through it
+            pending = list(consumer_refs)
+            while pending:
+                _done, pending = ray.wait(pending, timeout=0.25)
+                emitted.extend(ray.get(aggregator.take_outbox.remote()))
+        metrics = ray.get(consumer_refs)
+        ray.get(aggregator.final_flush.remote())
+        emitted.extend(ray.get(aggregator.take_outbox.remote()))
+        late_tables = [
+            t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None
+        ]
+        stats = ray.get([a.state_stats.remote() for a in actors])
+        late = pa.concat_tables(late_tables) if late_tables else None
+        if out_dir is not None:
+            return (
+                _finalize_sink(
+                    actors, stats, late, out_dir, sink["sink_epoch"],
+                    consumer_metrics=metrics,
+                ),
+                metrics,
+            )
     out = pa.concat_tables(emitted).sort_by("doc_id") if emitted else None
     return (
         StreamingResult(

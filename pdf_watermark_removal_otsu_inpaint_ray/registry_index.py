@@ -4,7 +4,10 @@
 (name → implementing module:line → oracle kind → last driver/parity-green
 round), so prose claims about coverage can be checked mechanically instead
 of drifting — ``tests/test_stats_registry.py`` regenerates the index and
-fails on any mismatch with the committed file.
+fails on any mismatch with the committed file.  The header pins the
+correctness/parity records the index was built from, and the check reads
+exactly those: a record added to the repo later does not stale the index
+until it is regenerated.
 
 Regenerate with::
 
@@ -30,21 +33,37 @@ def _green(row: dict) -> bool:
     return bool(row.get("rows_match"))
 
 
-def last_green_rounds() -> dict[str, str]:
+_RECORD_KINDS = {"CORRECTNESS_r": ("c", 1), "PARITY_r": ("p", 0)}
+_PIN_PREFIX = "Built from: "
+
+
+def record_files() -> list[str]:
+    """Every CORRECTNESS_r*.json / PARITY_r*.json at the repo root, sorted."""
+    return sorted(
+        f
+        for f in os.listdir(REPO_ROOT)
+        if f.endswith(".json") and f.startswith(tuple(_RECORD_KINDS))
+    )
+
+
+def pinned_records(markdown: str) -> list[str]:
+    """The record files a rendered index pins in its header."""
+    for line in markdown.splitlines():
+        if line.startswith(_PIN_PREFIX):
+            return [f.strip(" `.") for f in line[len(_PIN_PREFIX):].split(",")]
+    raise ValueError("REGISTRY.md has no pinned record list — regenerate it")
+
+
+def last_green_rounds(files: list[str], root: str = REPO_ROOT) -> dict[str, str]:
     """name -> latest round tag (e.g. ``c4`` driver / ``p4`` parity) with a
-    green row, scanning every CORRECTNESS_r*.json / PARITY_r*.json at the
-    repo root (later rounds win; driver beats parity within a round)."""
+    green row, scanning the given CORRECTNESS_r*.json / PARITY_r*.json
+    files under ``root`` (later rounds win; driver beats parity within a
+    round)."""
     out: dict[str, tuple[int, int, str]] = {}
-    for fname in sorted(os.listdir(REPO_ROOT)):
-        kind = None
-        if fname.startswith("CORRECTNESS_r") and fname.endswith(".json"):
-            kind, prio = "c", 1
-        elif fname.startswith("PARITY_r") and fname.endswith(".json"):
-            kind, prio = "p", 0
-        else:
-            continue
+    for fname in sorted(files):
+        kind, prio = next(v for k, v in _RECORD_KINDS.items() if fname.startswith(k))
         rnd = int("".join(ch for ch in fname.split("_r")[1][:2] if ch.isdigit()))
-        with open(os.path.join(REPO_ROOT, fname)) as f:
+        with open(os.path.join(root, fname)) as f:
             data = json.load(f)
         rows = data.get("queries", data) if isinstance(data, dict) else {}
         for name, row in rows.items():
@@ -56,12 +75,13 @@ def last_green_rounds() -> dict[str, str]:
     return {k: v[2] for k, v in out.items()}
 
 
-def build_index() -> list[dict]:
-    """One row per registered query, derived from the live registry."""
+def build_index(files: list[str], root: str = REPO_ROOT) -> list[dict]:
+    """One row per registered query, derived from the live registry and
+    the given record files."""
     from .oracle_data import GOLDEN_QUERIES
     from .queries import ORACLE_SQL, QUERIES
 
-    greens = last_green_rounds()
+    greens = last_green_rounds(files, root)
     rows = []
     for name in sorted(QUERIES):
         fn = QUERIES[name]
@@ -89,7 +109,7 @@ def build_index() -> list[dict]:
     return rows
 
 
-def render_markdown(rows: list[dict]) -> str:
+def render_markdown(rows: list[dict], files: list[str]) -> str:
     n_sql = sum(r["oracle"] == "sql" for r in rows)
     n_gold = sum(r["oracle"] == "golden" for r in rows)
     n_rows_only = sum(r["oracle"] == "rows-only" for r in rows)
@@ -99,6 +119,8 @@ def render_markdown(rows: list[dict]) -> str:
         "",
         "Generated by `python -m pdf_watermark_removal_otsu_inpaint_ray.registry_index`; do not",
         "edit by hand (`tests/test_stats_registry.py` fails on drift).",
+        "",
+        _PIN_PREFIX + ", ".join(f"`{f}`" for f in files) + ".",
         "",
         f"**{len(rows)} queries** — oracle kinds: {n_sql} SQL twin, "
         f"{n_gold} independent golden, {n_rows_only} rows-only; "
@@ -115,10 +137,19 @@ def render_markdown(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def expected_registry(root: str = REPO_ROOT) -> str:
+    """What ``root``/REGISTRY.md must read: the index rebuilt from the
+    records its own header pins."""
+    with open(os.path.join(root, "REGISTRY.md")) as f:
+        files = pinned_records(f.read())
+    return render_markdown(build_index(files, root), files)
+
+
 def main() -> None:
     out = os.path.join(REPO_ROOT, "REGISTRY.md")
+    files = record_files()
     with open(out, "w") as f:
-        f.write(render_markdown(build_index()))
+        f.write(render_markdown(build_index(files), files))
     print(f"wrote {out}")
 
 

@@ -98,7 +98,16 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-_LAYOUT_CACHE: dict[str, int] = {}
+# out_dir -> (num_partitions, marker identity) of a validated layout marker
+_LAYOUT_CACHE: dict[str, tuple[int, tuple[int, int] | None]] = {}
+
+
+def _marker_id(marker: str) -> tuple[int, int] | None:
+    try:
+        st = os.stat(marker)
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_mtime_ns
 
 
 def pinned_partitions(out_dir: str) -> int | None:
@@ -120,12 +129,14 @@ def _check_layout(out_dir: str, num_partitions: int) -> None:
     DIFFERENT count would re-hash uncommitted rows into other partition ids
     while committed_partitions() still reflects the old ones — the same
     doc_id could then commit twice.  First writer records; later callers
-    must match."""
-    if _LAYOUT_CACHE.get(out_dir) == num_partitions:
-        return
+    must match.  The per-process cache is keyed by the marker's identity:
+    long-lived workers and pooled actors outlive a sink directory that is
+    deleted and written afresh, and must then record and check again."""
     mdir = os.path.join(out_dir, "_manifests")
-    os.makedirs(mdir, exist_ok=True)
     marker = os.path.join(mdir, "_layout.json")
+    if _LAYOUT_CACHE.get(out_dir) == (num_partitions, _marker_id(marker)):
+        return
+    os.makedirs(mdir, exist_ok=True)
     if not os.path.exists(marker):
         # atomic-exclusive publish via hard link: exactly ONE concurrent
         # first writer records the count (os.link fails with FileExistsError
@@ -153,7 +164,7 @@ def _check_layout(out_dir: str, num_partitions: int) -> None:
             f"resuming with {num_partitions} would break exactly-once "
             "(doc_ids re-hash across committed partitions)"
         )
-    _LAYOUT_CACHE[out_dir] = num_partitions
+    _LAYOUT_CACHE[out_dir] = (num_partitions, _marker_id(marker))
 
 
 def committed_partitions(out_dir: str) -> set[int]:
@@ -484,9 +495,12 @@ def write_exactly_once(
     over any prior manifest (for a fully fresh layout, delete ``out_dir``).
     The partition count is pinned in a layout marker — resuming with a
     different ``num_partitions`` raises instead of silently re-hashing
-    doc_ids across committed partitions.
+    doc_ids across committed partitions, and resuming with none adopts
+    the pinned count.
     ``fail_partitions`` is test-only fault injection (raise before commit).
     """
+    if num_partitions is None:
+        num_partitions = pinned_partitions(out_dir)
     num_partitions = scaled_parts(16, num_partitions)
     os.makedirs(out_dir, exist_ok=True)
     done = frozenset(committed_partitions(out_dir)) if resume else frozenset()

@@ -42,8 +42,22 @@ def _ensure_event_ts(batch: pa.Table) -> pa.Table:
     return batch.append_column("event_ts", ts)
 
 
+PARQUET_EXTENSIONS = ["parquet"]
+
+
+def is_parquet_file(path: str) -> bool:
+    """The one file rule of every stream reader: the case-insensitive
+    ``.parquet`` suffix that ``ray.data.read_parquet`` applies with
+    ``file_extensions=PARQUET_EXTENSIONS``.  Other files beside the chunks
+    (a cached table, a marker, an editor backup) are not stream data."""
+    return path.lower().endswith(".parquet")
+
+
 def read_sequences(paths: str | list[str], *, columns: list[str] | None = None) -> "ray.data.Dataset":
     """Read a tokenized-sequence Parquet stream; adds event_ts if missing.
+    A directory contributes only its ``*.parquet`` files (nested
+    ``part=NNN/`` layouts included) — the same rule the streaming engines
+    apply; a file named explicitly is read whatever its suffix.
 
     "Missing" is judged against the FILE schema, not the pruned projection:
     a caller selecting ``columns`` without event_ts from a stream that HAS
@@ -62,7 +76,7 @@ def read_sequences(paths: str | list[str], *, columns: list[str] | None = None) 
         for dirpath, dirnames, filenames in os.walk(root):
             dirnames.sort()
             for f in sorted(filenames):
-                if f.endswith(".parquet"):
+                if is_parquet_file(f):
                     return os.path.join(dirpath, f)
         return root  # no parquet anywhere: let read_parquet raise its error
 
@@ -70,7 +84,12 @@ def read_sequences(paths: str | list[str], *, columns: list[str] | None = None) 
     if os.path.isdir(first):
         first = _first_parquet(first)
     file_has_ts = "event_ts" in pq_.read_schema(first).names
-    ds = ray.data.read_parquet(paths, columns=columns)
+    listed = [paths] if isinstance(paths, str) else list(paths)
+    ds = ray.data.read_parquet(
+        paths,
+        columns=columns,
+        file_extensions=PARQUET_EXTENSIONS if any(map(os.path.isdir, listed)) else None,
+    )
     if not file_has_ts and (columns is None or "doc_id" in columns):
         ds = ds.map_batches(_ensure_event_ts, batch_format="pyarrow")
     return ds

@@ -34,6 +34,7 @@ from ..stages.kernels import (
     flatten_list_column,
     process_batch_flat,
 )
+from . import Resettable
 
 
 def merge_session_intervals(frags: list[dict], gap: int) -> list[dict]:
@@ -69,7 +70,7 @@ def _window_end(window_id: int, cfg: EngineConfig) -> int:
 
 
 @ray.remote
-class KeyedStateActor:
+class KeyedStateActor(Resettable):
     def __init__(
         self,
         cfg: EngineConfig,

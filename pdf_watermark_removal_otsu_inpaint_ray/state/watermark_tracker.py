@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import ray
 
+from . import Resettable
+
 
 @ray.remote(num_cpus=0)
-class WatermarkTracker:
+class WatermarkTracker(Resettable):
     def __init__(self, num_partitions: int, allowed_lateness: int):
         self.n_partitions = num_partitions
         self.max_ts = {p: None for p in range(num_partitions)}

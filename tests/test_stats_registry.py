@@ -93,13 +93,40 @@ def test_registry_index_in_sync():
     import os
 
     from pdf_watermark_removal_otsu_inpaint_ray.registry_index import (
-        REPO_ROOT, build_index, render_markdown,
+        REPO_ROOT, expected_registry,
     )
 
-    want = render_markdown(build_index())
     with open(os.path.join(REPO_ROOT, "REGISTRY.md")) as f:
         got = f.read()
-    assert got == want, (
+    assert got == expected_registry(), (
         "REGISTRY.md is stale — regenerate with "
         "`python -m pdf_watermark_removal_otsu_inpaint_ray.registry_index`"
     )
+
+
+def test_registry_index_ignores_unpinned_records(tmp_path):
+    """A correctness record that lands after the index was generated (here
+    a planted CORRECTNESS_r99.json that would turn every query's last green
+    round into c99) does not stale the index: the check reads only the
+    records the committed header pins.  Editing the committed index still
+    fails the check."""
+    import json
+    import os
+    import shutil
+
+    from pdf_watermark_removal_otsu_inpaint_ray.registry_index import (
+        REPO_ROOT, expected_registry, pinned_records,
+    )
+
+    with open(os.path.join(REPO_ROOT, "REGISTRY.md")) as f:
+        committed = f.read()
+    for name in ["REGISTRY.md", *pinned_records(committed)]:
+        shutil.copy(os.path.join(REPO_ROOT, name), tmp_path / name)
+    from pdf_watermark_removal_otsu_inpaint_ray.queries import QUERIES
+
+    foreign = {"queries": {q: {"rows_match": True, "hash_match": True} for q in QUERIES}}
+    (tmp_path / "CORRECTNESS_r99.json").write_text(json.dumps(foreign))
+    assert expected_registry(str(tmp_path)) == committed
+
+    (tmp_path / "REGISTRY.md").write_text(committed.replace("| p5 |", "| p4 |", 1))
+    assert expected_registry(str(tmp_path)) != (tmp_path / "REGISTRY.md").read_text()

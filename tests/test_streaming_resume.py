@@ -225,3 +225,62 @@ def test_checkpoint_resume_refuses_changed_cfg_or_source(ray_session, tmp_path):
     res = run_streaming(stream, cfg, **kw, out_dir=out)
     assert res.output is None
     assert not os.path.isdir(os.path.join(out, "_checkpoints"))
+
+
+def test_resume_adopts_pinned_partition_count(ray_session, tmp_path):
+    """A library resume with no partition count adopts the count pinned in
+    the sink (here 7, not the cluster-scaled default) instead of failing
+    the layout guard: for the streaming engine's checkpoint resume, its
+    fresh-run sink set-up, and ``write_exactly_once``."""
+    import json
+    import os
+
+    import ray.data
+
+    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
+        run_streaming_partitioned,
+    )
+
+    def layout(d):
+        with open(os.path.join(d, "_manifests", "_layout.json")) as f:
+            return json.load(f)["num_partitions"]
+
+    stream = str(tmp_path / "s.parquet")
+    synth.write_stream(stream, 2000, n_sources=3, n_tok_lo=48, n_tok_hi=128, disorder=8)
+    cfg = DEFAULT_CONFIG.with_(window_kind="tumbling", window_size=32, allowed_lateness=16)
+    kw = dict(n_actors=2, micro_batch_rows=100)
+    clean = str(tmp_path / "clean")
+    run_streaming(stream, cfg, **kw, out_dir=clean, num_partitions=7)
+
+    ckpt = str(tmp_path / "ckpt")
+    with pytest.raises(RuntimeError, match="injected stop"):
+        run_streaming(
+            stream, cfg, **kw, out_dir=ckpt, num_partitions=7,
+            checkpoint_every=4, _stop_after_batches=14,
+        )
+    assert layout(ckpt) == 7  # the checkpoints staged rows: the count is pinned
+    run_streaming(stream, cfg, **kw, out_dir=ckpt, checkpoint_every=4)
+    assert layout(ckpt) == 7 and committed_partitions(ckpt) <= set(range(7))
+    assert _collect(ckpt).equals(_collect(clean))
+
+    # a partitioned run whose earlier attempt committed part of the layout
+    part = str(tmp_path / "part")
+    res = run_streaming(stream, cfg, **kw)
+    with pytest.raises(Exception):
+        write_exactly_once(
+            ray.data.from_arrow(res.output), part, num_partitions=7,
+            fail_partitions=frozenset({3}),
+        )
+    run_streaming_partitioned(stream, cfg, n_actors=2, n_partitions=1, out_dir=part)
+    assert layout(part) == 7 and committed_partitions(part) == set(range(7))
+    assert _collect(part).equals(_collect(clean))
+
+    sink = str(tmp_path / "batch")
+    with pytest.raises(Exception):
+        write_exactly_once(
+            ray.data.from_arrow(res.output), sink, num_partitions=7,
+            fail_partitions=frozenset({2}),
+        )
+    write_exactly_once(ray.data.from_arrow(res.output), sink)
+    assert layout(sink) == 7 and committed_partitions(sink) == set(range(7))
+    assert _collect(sink).equals(_collect(clean))
