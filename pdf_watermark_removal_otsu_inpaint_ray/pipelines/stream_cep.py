@@ -12,26 +12,19 @@ size, and actor count.
 
 Sink mode (``out_dir``): funnel rows stage from each actor straight into
 the exactly-once layout at flush; late rows to ``<out_dir>/_late``; the
-driver moves manifests only.  ``checkpoint_every``: the shared two-log
-snapshot contract applied to the single-log consumer (key/threshold state
-pickles, staged manifest truncates, the skipped prefix is the log
-re-read).
+driver moves manifests only.  ``checkpoint_every``: the streaming
+runtime's snapshot contract (``streaming._drive`` / ``_resume_or_fresh``:
+key/threshold state pickles, staged manifest truncates, the skipped prefix
+is the log re-read).
 """
 
 from __future__ import annotations
 
-from ..config import scaled_parts
-
-import numpy as np
 import pyarrow as pa
 
-import ray
-
-from ..state.dedup_state import _splitmix_route
 from ..state.funnel_state import FunnelStateActor
 from ..state.watermark_tracker import WatermarkTracker
-from .stream_join import _ckpt_resume_or_fresh, _join_src_fp
-from .streaming import StreamingResult, _arrival_batches, _finalize_sink
+from .streaming import StreamingResult, _drive, _key_route, _resume_or_fresh
 
 
 def run_streaming_funnel(
@@ -56,121 +49,24 @@ def run_streaming_funnel(
     group key at end-of-stream — ``(group, ts_<step>..., stage)`` with -1
     for unreached stages — byte-equal to the batch ``functions/cep.funnel``
     over the same rows whenever no row goes late."""
-    num_partitions = scaled_parts(8, num_partitions)
-    from .checkpoint import clear_checkpoints, staged_file_manifest, write_checkpoint
-
-    if checkpoint_every is not None and out_dir is None:
-        raise ValueError("checkpoint_every requires sink mode (out_dir)")
-    cfg_fp = f"funnel:{','.join(steps)}:w={within}:p={num_partitions}"
-    src_fp = _join_src_fp(source)
-    (
-        skip_batches,
-        ck_blobs,
-        restored_wm,
-        sink_done,
-        late_done,
-        sink_epoch,
-    ) = _ckpt_resume_or_fresh(
-        out_dir,
-        cfg_fp=cfg_fp,
-        src_fp=src_fp,
-        n_actors=n_actors,
-        micro_batch_rows=micro_batch_rows,
+    sink, resume = _resume_or_fresh(
+        "funnel", f"funnel:{','.join(steps)}:w={within}", [source], n_actors=n_actors,
+        micro_batch_rows=micro_batch_rows, out_dir=out_dir,
+        num_partitions=num_partitions, checkpoint_every=checkpoint_every,
     )
     actors = [
         FunnelStateActor.remote(
-            steps=steps,
-            within=within,
-            group_col=group_col,
-            ts_col=ts_col,
-            seq_col=seq_col,
-            type_col=type_col,
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
+            steps=steps, within=within, group_col=group_col, ts_col=ts_col,
+            seq_col=seq_col, type_col=type_col, **sink,
         )
         for _ in range(n_actors)
     ]
-    if ck_blobs is not None:
-        ray.get([a.restore_state.remote(b) for a, b in zip(actors, ck_blobs)])
-    tracker = WatermarkTracker.remote(1, allowed_lateness)
-
-    pending: list = []
-    wm = restored_wm
-    batch_idx = 0
-    consumed = 0
-    for batch in _arrival_batches(source, micro_batch_rows):
-        if consumed < skip_batches:
-            consumed += 1
-            continue
-        ts = np.asarray(batch[ts_col], dtype=np.int64)
-        if batch_idx % 4 == 0:
-            wm = max(wm, ray.get(tracker.watermark.remote()))
-        batch_idx += 1
-        route = _splitmix_route(np.asarray(batch[group_col], np.int64), n_actors)
-        for a in range(n_actors):
-            idx = np.nonzero(route == a)[0]
-            if idx.size == 0:
-                continue
-            pending.append(actors[a].ingest.remote(batch.take(idx), wm))
-        tracker.update.remote(0, int(ts.max()))
-        consumed += 1
-        if len(pending) >= n_actors * 4:
-            done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-            ray.get(done)
-        if (
-            checkpoint_every is not None
-            and consumed > skip_batches
-            and consumed % checkpoint_every == 0
-        ):
-            ray.get(pending)
-            pending = []
-            blobs = ray.get([a.checkpoint_state.remote() for a in actors])
-            write_checkpoint(
-                out_dir,
-                consumed,
-                blobs,
-                {
-                    "epoch": sink_epoch,
-                    "wm": wm,
-                    "n_actors": n_actors,
-                    "micro_batch_rows": micro_batch_rows,
-                    "cfg_fp": cfg_fp,
-                    "src_fp": src_fp,
-                    "staged_files": staged_file_manifest(out_dir),
-                },
-            )
-        if _stop_after_batches is not None and consumed >= _stop_after_batches:
-            raise RuntimeError(f"injected stop after {consumed} batches")
-
-    ray.get(pending)
-    out_tables: list[pa.Table] = []
-    for flushed in ray.get([a.flush.remote() for a in actors]):
-        out_tables.extend(flushed)
-
-    late_tables = [
-        t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None
-    ]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
-
-    if out_dir is not None:
-        res = _finalize_sink(actors, stats, late, out_dir, sink_epoch)
-        clear_checkpoints(out_dir)
-        return res
-
-    out = (
-        pa.concat_tables(out_tables).sort_by(group_col).drop_columns(["doc_id"])
-        if out_tables
-        else None
-    )
-    return StreamingResult(
-        output=out,
-        late=late,
-        n_late=sum(s["n_late"] for s in stats),
-        actor_stats=stats,
+    return _drive(
+        [source], actors, WatermarkTracker.remote(1, allowed_lateness),
+        _key_route(group_col, n_actors), resume,
+        lambda t: pa.concat_tables(t).sort_by(group_col).drop_columns(["doc_id"]) if t else None,
+        micro_batch_rows=micro_batch_rows, checkpoint_every=checkpoint_every,
+        stop_after=_stop_after_batches, ts_col=ts_col,
     )
 
 
@@ -197,123 +93,30 @@ def run_streaming_rate_limit(
     goes late.  State is O(active windows): closed windows evict at
     watermark passage.  Same driver loop, sink mode, and checkpoint
     protocol as the funnel."""
-    num_partitions = scaled_parts(8, num_partitions)
     from ..state.ratelimit_state import RateLimitStateActor
-    from .checkpoint import clear_checkpoints, staged_file_manifest, write_checkpoint
 
-    if checkpoint_every is not None and out_dir is None:
-        raise ValueError("checkpoint_every requires sink mode (out_dir)")
-    cfg_fp = f"ratelimit:w={window_us}:k={k}:p={num_partitions}"
-    src_fp = _join_src_fp(source)
-    (
-        skip_batches,
-        ck_blobs,
-        restored_wm,
-        sink_done,
-        late_done,
-        sink_epoch,
-    ) = _ckpt_resume_or_fresh(
-        out_dir,
-        cfg_fp=cfg_fp,
-        src_fp=src_fp,
-        n_actors=n_actors,
-        micro_batch_rows=micro_batch_rows,
+    sink, resume = _resume_or_fresh(
+        "rate-limit", f"ratelimit:w={window_us}:k={k}", [source], n_actors=n_actors,
+        micro_batch_rows=micro_batch_rows, out_dir=out_dir,
+        num_partitions=num_partitions, checkpoint_every=checkpoint_every,
     )
     actors = [
         RateLimitStateActor.remote(
-            window_us=window_us,
-            k=k,
-            group_col=group_col,
-            ts_col=ts_col,
-            seq_col=seq_col,
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
+            window_us=window_us, k=k, group_col=group_col, ts_col=ts_col,
+            seq_col=seq_col, **sink,
         )
         for _ in range(n_actors)
     ]
-    if ck_blobs is not None:
-        ray.get([a.restore_state.remote(b) for a, b in zip(actors, ck_blobs)])
-    tracker = WatermarkTracker.remote(1, allowed_lateness)
-
-    pending: list = []
-    wm = restored_wm
-    batch_idx = 0
-    consumed = 0
-    for batch in _arrival_batches(source, micro_batch_rows):
-        if consumed < skip_batches:
-            consumed += 1
-            continue
-        ts = np.asarray(batch[ts_col], dtype=np.int64)
-        if batch_idx % 4 == 0:
-            wm = max(wm, ray.get(tracker.watermark.remote()))
-        batch_idx += 1
-        route = _splitmix_route(np.asarray(batch[group_col], np.int64), n_actors)
-        for a in range(n_actors):
-            idx = np.nonzero(route == a)[0]
-            if idx.size == 0:
-                continue
-            pending.append(actors[a].ingest.remote(batch.take(idx), wm))
-        tracker.update.remote(0, int(ts.max()))
-        consumed += 1
-        if len(pending) >= n_actors * 4:
-            done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-            ray.get(done)
-        if (
-            checkpoint_every is not None
-            and consumed > skip_batches
-            and consumed % checkpoint_every == 0
-        ):
-            ray.get(pending)
-            pending = []
-            blobs = ray.get([a.checkpoint_state.remote() for a in actors])
-            write_checkpoint(
-                out_dir,
-                consumed,
-                blobs,
-                {
-                    "epoch": sink_epoch,
-                    "wm": wm,
-                    "n_actors": n_actors,
-                    "micro_batch_rows": micro_batch_rows,
-                    "cfg_fp": cfg_fp,
-                    "src_fp": src_fp,
-                    "staged_files": staged_file_manifest(out_dir),
-                },
-            )
-        if _stop_after_batches is not None and consumed >= _stop_after_batches:
-            raise RuntimeError(f"injected stop after {consumed} batches")
-
-    ray.get(pending)
-    out_tables: list[pa.Table] = []
-    for flushed in ray.get([a.flush.remote() for a in actors]):
-        out_tables.append(flushed) if isinstance(flushed, pa.Table) else out_tables.extend(flushed)
-
-    late_tables = [
-        t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None
-    ]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
-
-    if out_dir is not None:
-        res = _finalize_sink(actors, stats, late, out_dir, sink_epoch)
-        clear_checkpoints(out_dir)
-        return res
-
-    out = (
-        pa.concat_tables(out_tables)
-        .sort_by([(seq_col, "ascending")])
-        .drop_columns(["doc_id"])
-        if out_tables
-        else None
-    )
-    return StreamingResult(
-        output=out,
-        late=late,
-        n_late=sum(s["n_late"] for s in stats),
-        actor_stats=stats,
+    return _drive(
+        [source], actors, WatermarkTracker.remote(1, allowed_lateness),
+        _key_route(group_col, n_actors), resume,
+        lambda t: (
+            pa.concat_tables(t).sort_by([(seq_col, "ascending")]).drop_columns(["doc_id"])
+            if t
+            else None
+        ),
+        micro_batch_rows=micro_batch_rows, checkpoint_every=checkpoint_every,
+        stop_after=_stop_after_batches, ts_col=ts_col,
     )
 
 
@@ -342,139 +145,40 @@ def run_streaming_attribution(
     With lateness covering the stream's disorder the emitted set is
     byte-equal to the batch ``grouped_attribution`` — one definition,
     two execution tiers, one SQL twin."""
-    num_partitions = scaled_parts(8, num_partitions)
     from ..state.attribution_state import AttributionStateActor
     from ..state.firsttouch_state import FirstTouchStateActor
-    from .checkpoint import clear_checkpoints, staged_file_manifest, write_checkpoint
 
     if rule not in ("last", "first"):
         raise ValueError(f"unknown attribution rule {rule!r}")
-    actor_cls = AttributionStateActor if rule == "last" else FirstTouchStateActor
-    if checkpoint_every is not None and out_dir is None:
-        raise ValueError("checkpoint_every requires sink mode (out_dir)")
-    cfg_fp = (
-        f"attrib-{rule}:{touch}->{convert}:w={window}:p={num_partitions}"
-    )
-    src_fp = _join_src_fp(source)
-    (
-        skip_batches,
-        ck_blobs,
-        restored_wm,
-        sink_done,
-        late_done,
-        sink_epoch,
-    ) = _ckpt_resume_or_fresh(
-        out_dir,
-        cfg_fp=cfg_fp,
-        src_fp=src_fp,
-        n_actors=n_actors,
-        micro_batch_rows=micro_batch_rows,
+    sink, resume = _resume_or_fresh(
+        "attribution", f"attrib-{rule}:{touch}->{convert}:w={window}", [source], n_actors=n_actors,
+        micro_batch_rows=micro_batch_rows, out_dir=out_dir,
+        num_partitions=num_partitions, checkpoint_every=checkpoint_every,
     )
     actors = [
-        actor_cls.remote(
-            touch=touch,
-            convert=convert,
-            window=window,
-            group_col=group_col,
-            ts_col=ts_col,
-            seq_col=seq_col,
-            type_col=type_col,
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
+        (AttributionStateActor if rule == "last" else FirstTouchStateActor).remote(
+            touch=touch, convert=convert, window=window, group_col=group_col,
+            ts_col=ts_col, seq_col=seq_col, type_col=type_col, **sink,
         )
         for _ in range(n_actors)
     ]
-    if ck_blobs is not None:
-        ray.get([a.restore_state.remote(b) for a, b in zip(actors, ck_blobs)])
-    tracker = WatermarkTracker.remote(1, allowed_lateness)
-
-    out_tables: list[pa.Table] = []
-    pending: list = []
-    wm = restored_wm
-    batch_idx = 0
-    consumed = 0
-    for batch in _arrival_batches(source, micro_batch_rows):
-        if consumed < skip_batches:
-            consumed += 1
-            continue
-        ts = np.asarray(batch[ts_col], dtype=np.int64)
-        if batch_idx % 4 == 0:
-            wm = max(wm, ray.get(tracker.watermark.remote()))
-        batch_idx += 1
-        route = _splitmix_route(np.asarray(batch[group_col], np.int64), n_actors)
-        for a in range(n_actors):
-            idx = np.nonzero(route == a)[0]
-            if idx.size == 0:
-                continue
-            pending.append(actors[a].ingest.remote(batch.take(idx), wm))
-        tracker.update.remote(0, int(ts.max()))
-        consumed += 1
-        if len(pending) >= n_actors * 4:
-            done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-            for tables in ray.get(done):
-                out_tables.extend(tables)
-        if (
-            checkpoint_every is not None
-            and consumed > skip_batches
-            and consumed % checkpoint_every == 0
-        ):
-            for tables in ray.get(pending):
-                out_tables.extend(tables)
-            pending = []
-            blobs = ray.get([a.checkpoint_state.remote() for a in actors])
-            write_checkpoint(
-                out_dir,
-                consumed,
-                blobs,
+    return _drive(
+        [source], actors, WatermarkTracker.remote(1, allowed_lateness),
+        _key_route(group_col, n_actors), resume,
+        lambda t: (
+            pa.concat_tables(t).sort_by("conv_id")
+            if t
+            else pa.table(
                 {
-                    "epoch": sink_epoch,
-                    "wm": wm,
-                    "n_actors": n_actors,
-                    "micro_batch_rows": micro_batch_rows,
-                    "cfg_fp": cfg_fp,
-                    "src_fp": src_fp,
-                    "staged_files": staged_file_manifest(out_dir),
-                },
+                    group_col: pa.array([], pa.int64()),
+                    "conv_id": pa.array([], pa.int64()),
+                    ts_col: pa.array([], pa.int64()),
+                    "touch_id": pa.array([], pa.int64()),
+                }
             )
-        if _stop_after_batches is not None and consumed >= _stop_after_batches:
-            raise RuntimeError(f"injected stop after {consumed} batches")
-
-    for tables in ray.get(pending):
-        out_tables.extend(tables)
-    for tables in ray.get([a.flush.remote() for a in actors]):
-        out_tables.extend(tables)
-
-    late_tables = [
-        t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None
-    ]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
-
-    if out_dir is not None:
-        res = _finalize_sink(actors, stats, late, out_dir, sink_epoch)
-        clear_checkpoints(out_dir)
-        return res
-
-    out = (
-        pa.concat_tables(out_tables).sort_by("conv_id")
-        if out_tables
-        else pa.table(
-            {
-                group_col: pa.array([], pa.int64()),
-                "conv_id": pa.array([], pa.int64()),
-                ts_col: pa.array([], pa.int64()),
-                "touch_id": pa.array([], pa.int64()),
-            }
-        )
-    )
-    return StreamingResult(
-        output=out,
-        late=late,
-        n_late=sum(s["n_late"] for s in stats),
-        actor_stats=stats,
+        ),
+        micro_batch_rows=micro_batch_rows, checkpoint_every=checkpoint_every,
+        stop_after=_stop_after_batches, ts_col=ts_col,
     )
 
 
@@ -499,132 +203,36 @@ def run_streaming_session_stats(
     session-window-with-aggregate shape.  With lateness covering the
     stream's disorder the emitted set is byte-equal to the batch
     ``grouped_session_stats`` — one definition, two tiers, one twin."""
-    num_partitions = scaled_parts(8, num_partitions)
     from ..state.sessionstats_state import SessionStatsActor
-    from .checkpoint import clear_checkpoints, staged_file_manifest, write_checkpoint
 
-    if checkpoint_every is not None and out_dir is None:
-        raise ValueError("checkpoint_every requires sink mode (out_dir)")
-    cfg_fp = f"sessstats:g={gap}:p={num_partitions}"
-    src_fp = _join_src_fp(source)
-    (
-        skip_batches,
-        ck_blobs,
-        restored_wm,
-        sink_done,
-        late_done,
-        sink_epoch,
-    ) = _ckpt_resume_or_fresh(
-        out_dir,
-        cfg_fp=cfg_fp,
-        src_fp=src_fp,
-        n_actors=n_actors,
-        micro_batch_rows=micro_batch_rows,
+    sink, resume = _resume_or_fresh(
+        "session-stats", f"sessstats:g={gap}", [source], n_actors=n_actors,
+        micro_batch_rows=micro_batch_rows, out_dir=out_dir,
+        num_partitions=num_partitions, checkpoint_every=checkpoint_every,
     )
     actors = [
         SessionStatsActor.remote(
-            gap=gap,
-            group_col=group_col,
-            ts_col=ts_col,
-            seq_col=seq_col,
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
+            gap=gap, group_col=group_col, ts_col=ts_col, seq_col=seq_col, **sink
         )
         for _ in range(n_actors)
     ]
-    if ck_blobs is not None:
-        ray.get([a.restore_state.remote(b) for a, b in zip(actors, ck_blobs)])
-    tracker = WatermarkTracker.remote(1, allowed_lateness)
-
-    out_tables: list[pa.Table] = []
-    pending: list = []
-    wm = restored_wm
-    batch_idx = 0
-    consumed = 0
-    for batch in _arrival_batches(source, micro_batch_rows):
-        if consumed < skip_batches:
-            consumed += 1
-            continue
-        ts = np.asarray(batch[ts_col], dtype=np.int64)
-        if batch_idx % 4 == 0:
-            wm = max(wm, ray.get(tracker.watermark.remote()))
-        batch_idx += 1
-        route = _splitmix_route(np.asarray(batch[group_col], np.int64), n_actors)
-        for a in range(n_actors):
-            idx = np.nonzero(route == a)[0]
-            if idx.size == 0:
-                continue
-            pending.append(actors[a].ingest.remote(batch.take(idx), wm))
-        tracker.update.remote(0, int(ts.max()))
-        consumed += 1
-        if len(pending) >= n_actors * 4:
-            done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-            for tables in ray.get(done):
-                out_tables.extend(tables)
-        if (
-            checkpoint_every is not None
-            and consumed > skip_batches
-            and consumed % checkpoint_every == 0
-        ):
-            for tables in ray.get(pending):
-                out_tables.extend(tables)
-            pending = []
-            blobs = ray.get([a.checkpoint_state.remote() for a in actors])
-            write_checkpoint(
-                out_dir,
-                consumed,
-                blobs,
+    return _drive(
+        [source], actors, WatermarkTracker.remote(1, allowed_lateness),
+        _key_route(group_col, n_actors), resume,
+        lambda t: (
+            pa.concat_tables(t).sort_by([(group_col, "ascending"), ("session_id", "ascending")])
+            if t
+            else pa.table(
                 {
-                    "epoch": sink_epoch,
-                    "wm": wm,
-                    "n_actors": n_actors,
-                    "micro_batch_rows": micro_batch_rows,
-                    "cfg_fp": cfg_fp,
-                    "src_fp": src_fp,
-                    "staged_files": staged_file_manifest(out_dir),
-                },
+                    group_col: pa.array([], pa.int64()),
+                    "session_id": pa.array([], pa.int64()),
+                    "n_events": pa.array([], pa.int64()),
+                    "start_us": pa.array([], pa.int64()),
+                    "end_us": pa.array([], pa.int64()),
+                    "duration_us": pa.array([], pa.int64()),
+                }
             )
-        if _stop_after_batches is not None and consumed >= _stop_after_batches:
-            raise RuntimeError(f"injected stop after {consumed} batches")
-
-    for tables in ray.get(pending):
-        out_tables.extend(tables)
-    for tables in ray.get([a.flush.remote() for a in actors]):
-        out_tables.extend(tables)
-
-    late_tables = [
-        t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None
-    ]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
-
-    if out_dir is not None:
-        res = _finalize_sink(actors, stats, late, out_dir, sink_epoch)
-        clear_checkpoints(out_dir)
-        return res
-
-    out = (
-        pa.concat_tables(out_tables).sort_by(
-            [(group_col, "ascending"), ("session_id", "ascending")]
-        )
-        if out_tables
-        else pa.table(
-            {
-                group_col: pa.array([], pa.int64()),
-                "session_id": pa.array([], pa.int64()),
-                "n_events": pa.array([], pa.int64()),
-                "start_us": pa.array([], pa.int64()),
-                "end_us": pa.array([], pa.int64()),
-                "duration_us": pa.array([], pa.int64()),
-            }
-        )
-    )
-    return StreamingResult(
-        output=out,
-        late=late,
-        n_late=sum(s["n_late"] for s in stats),
-        actor_stats=stats,
+        ),
+        micro_batch_rows=micro_batch_rows, checkpoint_every=checkpoint_every,
+        stop_after=_stop_after_batches, ts_col=ts_col,
     )

@@ -17,19 +17,15 @@ Checkpoint/resume: state is island-scale (tiny) but the LOG is not —
 cursor into ``ckpt_dir`` so a killed run resumes by skipping replayed
 micro-batches instead of re-reading the stream (kill-and-replay equal by
 test).  No sink files ride the snapshot: the output is flush-only, so
-the checkpoint is just (cursor, actor blobs).
+the runtime's driver-output blob stays empty.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
-import ray
-
 from ..state.coverage_state import CoverageStateActor
-from ..state.dedup_state import _splitmix_route
-from .streaming import StreamingResult, _arrival_batches
+from .streaming import StreamingResult, _drive, _key_route, _resume_or_fresh
 
 
 def run_streaming_coverage(
@@ -49,97 +45,30 @@ def run_streaming_coverage(
     already be initialised by the caller.  Output is ``(key, covered_us,
     n_islands)``, byte-equal to ``grouped_interval_coverage`` over the
     same rows for any arrival interleaving."""
-    from .checkpoint import clear_checkpoints, latest_checkpoint, write_checkpoint
-
-    if checkpoint_every is not None and ckpt_dir is None:
-        raise ValueError("checkpoint_every requires ckpt_dir")
-
-    skip_batches, ck_blobs = 0, None
-    if ckpt_dir is not None:
-        ck = latest_checkpoint(ckpt_dir)
-        if ck is not None:
-            skip_batches, ck_meta, ck_blobs = ck
-            if (
-                int(ck_meta["n_actors"]) != n_actors
-                or int(ck_meta["micro_batch_rows"]) != micro_batch_rows
-            ):
-                raise RuntimeError(
-                    "checkpoint was taken with different n_actors/"
-                    "micro_batch_rows; resuming would desynchronize routing"
-                )
-            if ck_meta.get("cfg_fp") != f"coverage:{key_col}:{ts_col}:h={hold}":
-                raise RuntimeError(
-                    "checkpoint was taken under a different coverage config; "
-                    "delete the ckpt dir to start fresh"
-                )
-
+    _sink, resume = _resume_or_fresh(
+        "coverage", f"coverage:{key_col}:{ts_col}:h={hold}", [source],
+        n_actors=n_actors, micro_batch_rows=micro_batch_rows, ckpt_dir=ckpt_dir,
+        checkpoint_every=checkpoint_every,
+    )
     actors = [
         CoverageStateActor.remote(
-            key_col=key_col, ts_col=ts_col, hold=hold,
-            compact_rows=compact_rows,
+            key_col=key_col, ts_col=ts_col, hold=hold, compact_rows=compact_rows
         )
         for _ in range(n_actors)
     ]
-    if ck_blobs is not None:
-        ray.get([a.restore_state.remote(b) for a, b in zip(actors, ck_blobs)])
-
-    pending: list = []
-    consumed = 0
-    for batch in _arrival_batches(source, micro_batch_rows):
-        if consumed < skip_batches:
-            consumed += 1
-            continue
-        route = _splitmix_route(np.asarray(batch[key_col], np.int64), n_actors)
-        for a in range(n_actors):
-            idx = np.nonzero(route == a)[0]
-            if idx.size == 0:
-                continue
-            pending.append(actors[a].ingest.remote(batch.take(idx)))
-        consumed += 1
-        if len(pending) >= n_actors * 4:
-            done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-            ray.get(done)
-        if (
-            checkpoint_every is not None
-            and consumed > skip_batches
-            and consumed % checkpoint_every == 0
-        ):
-            ray.get(pending)
-            pending = []
-            blobs = ray.get([a.checkpoint_state.remote() for a in actors])
-            write_checkpoint(
-                ckpt_dir,
-                consumed,
-                blobs,
+    return _drive(
+        [source], actors, None, _key_route(key_col, n_actors), resume,
+        lambda t: (
+            pa.concat_tables(t).sort_by(key_col)
+            if t
+            else pa.table(
                 {
-                    "epoch": 0,
-                    "wm": 0,
-                    "n_actors": n_actors,
-                    "micro_batch_rows": micro_batch_rows,
-                    "cfg_fp": f"coverage:{key_col}:{ts_col}:h={hold}",
-                    "staged_files": {},
-                },
+                    key_col: pa.array([], pa.int64()),
+                    "covered_us": pa.array([], pa.int64()),
+                    "n_islands": pa.array([], pa.int64()),
+                }
             )
-        if _stop_after_batches is not None and consumed >= _stop_after_batches:
-            raise RuntimeError(f"injected stop after {consumed} batches")
-
-    ray.get(pending)
-    out_tables: list[pa.Table] = []
-    for flushed in ray.get([a.flush.remote() for a in actors]):
-        out_tables.extend(flushed)
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    if ckpt_dir is not None:
-        clear_checkpoints(ckpt_dir)
-
-    out = (
-        pa.concat_tables(out_tables).sort_by(key_col)
-        if out_tables
-        else pa.table(
-            {
-                key_col: pa.array([], pa.int64()),
-                "covered_us": pa.array([], pa.int64()),
-                "n_islands": pa.array([], pa.int64()),
-            }
-        )
+        ),
+        micro_batch_rows=micro_batch_rows, checkpoint_every=checkpoint_every,
+        stop_after=_stop_after_batches,
     )
-    return StreamingResult(output=out, late=None, n_late=0, actor_stats=stats)

@@ -19,17 +19,11 @@ is to be dropped) — ``state_stats`` carries ``n_dup``.
 
 from __future__ import annotations
 
-from ..config import scaled_parts
-
-import numpy as np
 import pyarrow as pa
 
-import ray
-
-from ..state.dedup_state import DedupStateActor, _splitmix_route
+from ..state.dedup_state import DedupStateActor
 from ..state.watermark_tracker import WatermarkTracker
-from .stream_join import _ckpt_resume_or_fresh, _join_src_fp
-from .streaming import StreamingResult, _arrival_batches, _finalize_sink, _sink_done_sets  # noqa: F401 (_sink_done_sets used via the shared resume helper)
+from .streaming import StreamingResult, _drive, _key_route, _resume_or_fresh
 
 
 def run_streaming_dedup(
@@ -52,124 +46,25 @@ def run_streaming_dedup(
     identity (None = suppress duplicates forever; state then grows with
     distinct identities, the inherent exact-dedup bound).
 
-    ``checkpoint_every`` / resume: the shared two-log snapshot contract
-    (pipelines/stream_join.py::_ckpt_resume_or_fresh) applied to the
-    single-log consumer — identity state + pending buffers pickle, staged
-    manifest truncates, the skipped prefix is the log re-read."""
-    num_partitions = scaled_parts(8, num_partitions)
-    from .checkpoint import clear_checkpoints, staged_file_manifest, write_checkpoint
-
-    if checkpoint_every is not None and out_dir is None:
-        raise ValueError("checkpoint_every requires sink mode (out_dir)")
-    cfg_fp = f"dedup:h={horizon}:p={num_partitions}"
-    src_fp = _join_src_fp(source)
-    (
-        skip_batches,
-        ck_blobs,
-        restored_wm,
-        sink_done,
-        late_done,
-        sink_epoch,
-    ) = _ckpt_resume_or_fresh(
-        out_dir,
-        cfg_fp=cfg_fp,
-        src_fp=src_fp,
-        n_actors=n_actors,
-        micro_batch_rows=micro_batch_rows,
+    ``checkpoint_every`` / resume: the streaming runtime's snapshot
+    contract (pipelines/streaming.py ``_drive`` / ``_resume_or_fresh``) —
+    identity state + pending buffers pickle, staged manifest truncates, the
+    skipped prefix is the log re-read."""
+    sink, resume = _resume_or_fresh(
+        "dedup", f"dedup:h={horizon}", [source], n_actors=n_actors,
+        micro_batch_rows=micro_batch_rows, out_dir=out_dir,
+        num_partitions=num_partitions, checkpoint_every=checkpoint_every,
     )
     actors = [
         DedupStateActor.remote(
-            horizon=horizon,
-            id_col=id_col,
-            ts_col=ts_col,
-            seq_col=seq_col,
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
+            horizon=horizon, id_col=id_col, ts_col=ts_col, seq_col=seq_col, **sink
         )
         for _ in range(n_actors)
     ]
-    if ck_blobs is not None:
-        ray.get([a.restore_state.remote(b) for a, b in zip(actors, ck_blobs)])
-    tracker = WatermarkTracker.remote(1, allowed_lateness)
-
-    kept_refs: list = []
-    pending: list = []
-    wm = restored_wm
-    batch_idx = 0
-    consumed = 0
-    for batch in _arrival_batches(source, micro_batch_rows):
-        if consumed < skip_batches:
-            consumed += 1
-            continue
-        ts = np.asarray(batch[ts_col], dtype=np.int64)
-        # watermark refreshed every few batches — monotone lower bound of
-        # the true one (staleness delays sweeps, never corrupts them)
-        if batch_idx % 4 == 0:
-            wm = max(wm, ray.get(tracker.watermark.remote()))
-        batch_idx += 1
-        route = _splitmix_route(np.asarray(batch[id_col], np.int64), n_actors)
-        for a in range(n_actors):
-            idx = np.nonzero(route == a)[0]
-            if idx.size == 0:
-                continue
-            pending.append(actors[a].ingest.remote(batch.take(idx), wm))
-        tracker.update.remote(0, int(ts.max()))
-        consumed += 1
-        if len(pending) >= n_actors * 4:
-            done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-            for tables, _, _ in ray.get(done):
-                kept_refs.extend(tables)
-        if (
-            checkpoint_every is not None
-            and consumed > skip_batches
-            and consumed % checkpoint_every == 0
-        ):
-            for tables, _, _ in ray.get(pending):
-                kept_refs.extend(tables)
-            pending = []
-            blobs = ray.get([a.checkpoint_state.remote() for a in actors])
-            write_checkpoint(
-                out_dir,
-                consumed,
-                blobs,
-                {
-                    "epoch": sink_epoch,
-                    "wm": wm,
-                    "n_actors": n_actors,
-                    "micro_batch_rows": micro_batch_rows,
-                    "cfg_fp": cfg_fp,
-                    "src_fp": src_fp,
-                    "staged_files": staged_file_manifest(out_dir),
-                },
-            )
-        if _stop_after_batches is not None and consumed >= _stop_after_batches:
-            raise RuntimeError(f"injected stop after {consumed} batches")
-
-    for tables, _, _ in ray.get(pending):
-        kept_refs.extend(tables)
-    for flushed in ray.get([a.flush.remote() for a in actors]):
-        kept_refs.extend(flushed)
-
-    late_tables = [
-        t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None
-    ]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
-
-    if out_dir is not None:
-        res = _finalize_sink(actors, stats, late, out_dir, sink_epoch)
-        clear_checkpoints(out_dir)
-        return res
-
-    out = (
-        pa.concat_tables(kept_refs).sort_by(seq_col) if kept_refs else None
-    )
-    return StreamingResult(
-        output=out,
-        late=late,
-        n_late=sum(s["n_late"] for s in stats),
-        actor_stats=stats,
+    return _drive(
+        [source], actors, WatermarkTracker.remote(1, allowed_lateness),
+        _key_route(id_col, n_actors), resume,
+        lambda t: pa.concat_tables(t).sort_by(seq_col) if t else None,
+        micro_batch_rows=micro_batch_rows, checkpoint_every=checkpoint_every,
+        stop_after=_stop_after_batches, ts_col=ts_col,
     )

@@ -16,23 +16,13 @@ into the exactly-once layout keyed by a deterministic pair id.
 
 from __future__ import annotations
 
-from ..config import scaled_parts
-
 import numpy as np
 import pyarrow as pa
-
-import ray
 
 from ..state.dedup_state import _splitmix_route
 from ..state.join_state import JoinStateActor, TemporalJoinActor
 from ..state.watermark_tracker import WatermarkTracker
-from .streaming import (
-    StreamingResult,
-    _arrival_batches,
-    _finalize_sink,
-    _resolve_parquet_paths,
-    _sink_done_sets,
-)
+from .streaming import StreamingResult, _by_actor, _drive, _key_route, _resume_or_fresh
 
 
 def _normalize(batch: pa.Table, key: str, seq: str, ts: str) -> pa.Table:
@@ -42,71 +32,6 @@ def _normalize(batch: pa.Table, key: str, seq: str, ts: str) -> pa.Table:
             "seq": batch[seq].cast(pa.int64()),
             "ts": batch[ts].cast(pa.int64()),
         }
-    )
-
-
-def _join_src_fp(src) -> str:
-    """Stable source identity for checkpoint validation: file set + sizes
-    for path sources, the opaque sentinel for in-memory Datasets."""
-    if not isinstance(src, str):
-        return "dataset"
-    import os as _os
-
-    return "|".join(
-        f"{p}:{_os.path.getsize(p)}" for p in _resolve_parquet_paths(src)
-    )
-
-
-def _ckpt_resume_or_fresh(
-    out_dir: str | None,
-    *,
-    cfg_fp: str,
-    src_fp: str,
-    n_actors: int,
-    micro_batch_rows: int,
-):
-    """Adopt the latest checkpoint under ``out_dir`` (validating that the
-    resume's routing/config/source match the snapshot's) or start fresh.
-    Returns (skip_batches, actor_blobs | None, restored_wm, sink_done,
-    late_done, sink_epoch) — the shared resume protocol of every two-log
-    streaming consumer (interval join, temporal join)."""
-    from ..sinks.exactly_once import adopt_epoch, committed_partitions, late_dir
-    from .checkpoint import latest_checkpoint, truncate_staged
-
-    resume_ckpt = latest_checkpoint(out_dir) if out_dir is not None else None
-    if resume_ckpt is None:
-        sink_done, late_done, sink_epoch = _sink_done_sets(out_dir)
-        return 0, None, -(1 << 62), sink_done, late_done, sink_epoch
-    skip_batches, ck_meta, ck_blobs = resume_ckpt
-    if (
-        int(ck_meta["n_actors"]) != n_actors
-        or int(ck_meta["micro_batch_rows"]) != micro_batch_rows
-    ):
-        raise RuntimeError(
-            "checkpoint was taken with different n_actors/micro_batch_rows; "
-            "resuming would desynchronize routing and batch numbering"
-        )
-    if ck_meta.get("cfg_fp") != cfg_fp or ck_meta.get("src_fp") != src_fp:
-        raise RuntimeError(
-            "checkpoint was taken under a different join config or source "
-            "set; delete the sink dir to start fresh"
-        )
-    import os as _os
-
-    _os.makedirs(out_dir, exist_ok=True)
-    sink_epoch = int(ck_meta["epoch"])
-    adopt_epoch(out_dir, sink_epoch)
-    adopt_epoch(late_dir(out_dir), sink_epoch)
-    truncate_staged(out_dir, ck_meta["staged_files"])
-    sink_done = frozenset(committed_partitions(out_dir))
-    late_done = frozenset(committed_partitions(late_dir(out_dir)))
-    return (
-        skip_batches,
-        ck_blobs,
-        int(ck_meta["wm"]),
-        sink_done,
-        late_done,
-        sink_epoch,
     )
 
 
@@ -165,12 +90,6 @@ def run_streaming_join(
     Requires ``n_salt <= n_actors`` (consecutive slots must be distinct
     actors, or two replicas of one right row would meet and double-pair).
     """
-    num_partitions = scaled_parts(8, num_partitions)
-    from .checkpoint import clear_checkpoints, staged_file_manifest, write_checkpoint
-
-    if checkpoint_every is not None and out_dir is None:
-        raise ValueError("checkpoint_every requires sink mode (out_dir)")
-
     if n_salt > 1:
         if mode == "full_outer":
             raise ValueError("hot-key salting cannot run full_outer "
@@ -183,175 +102,54 @@ def run_streaming_join(
         if hot_keys and n_salt > 1
         else None
     )
-    cfg_fp = (
-        f"band({band},{band_lo},{band_hi}):mode={mode}:p={num_partitions}"
-        f":salt={n_salt}:hot={','.join(str(int(k)) for k in sorted(hot_keys))}"
-    )
-    src_fp = _join_src_fp(left_source) + "//" + _join_src_fp(right_source)
-    (
-        skip_batches,
-        ck_blobs,
-        restored_wm,
-        sink_done,
-        late_done,
-        sink_epoch,
-    ) = _ckpt_resume_or_fresh(
-        out_dir,
-        cfg_fp=cfg_fp,
-        src_fp=src_fp,
-        n_actors=n_actors,
-        micro_batch_rows=micro_batch_rows,
+    sink, resume = _resume_or_fresh(
+        "join",
+        f"band({band},{band_lo},{band_hi}):mode={mode}:salt={n_salt}"
+        f":hot={','.join(str(int(k)) for k in sorted(hot_keys))}",
+        [left_source, right_source], n_actors=n_actors,
+        micro_batch_rows=micro_batch_rows, out_dir=out_dir,
+        num_partitions=num_partitions, checkpoint_every=checkpoint_every,
     )
     actors = [
-        JoinStateActor.remote(
-            band=band,
-            band_lo=band_lo,
-            band_hi=band_hi,
-            mode=mode,
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
+        JoinStateActor.remote(band=band, band_lo=band_lo, band_hi=band_hi, mode=mode, **sink)
         for _ in range(n_actors)
     ]
-    if ck_blobs is not None:
-        ray.get([a.restore_state.remote(b) for a, b in zip(actors, ck_blobs)])
-    tracker = WatermarkTracker.remote(2, allowed_lateness)
 
-    pair_refs: list = []
-    pending: list = []
-    wm = restored_wm
-    batch_idx = 0
-    consumed = 0
-    iters = [
-        _arrival_batches(left_source, micro_batch_rows),
-        _arrival_batches(right_source, micro_batch_rows),
-    ]
-    cols = [left_cols, right_cols]
-    alive = [True, True]
-    while any(alive):
-        for side in (0, 1):
-            if not alive[side]:
-                continue
-            try:
-                raw = next(iters[side])
-            except StopIteration:
-                alive[side] = False
-                tracker.close_partition.remote(side)
-                continue
-            if consumed < skip_batches:
-                # already absorbed into the restored state — the re-read of
-                # both logs IS the lineage; only the tail replays (the
-                # round-robin interleaving is deterministic, so batch
-                # numbering lines up with the checkpointed run)
-                consumed += 1
-                continue
-            batch = _normalize(raw, *cols[side])
-            ts = np.asarray(batch["ts"], np.int64)
-            if batch_idx % 4 == 0:
-                wm = max(wm, ray.get(tracker.watermark.remote()))
-            batch_idx += 1
-            keys = np.asarray(batch["key"], np.int64)
-            base = _splitmix_route(keys, n_actors)
-            if hot is None:
-                plan = [
-                    (a, np.nonzero(base == a)[0]) for a in range(n_actors)
-                ]
+    def route(side: int, batch: pa.Table) -> list:
+        keys = np.asarray(batch["key"], np.int64)
+        base = _splitmix_route(keys, n_actors)
+        if hot is None:
+            return _by_actor(base, n_actors)
+        is_hot = np.isin(keys, hot)
+        plan = [(a, np.nonzero((~is_hot) & (base == a))[0]) for a in range(n_actors)]
+        hidx = np.nonzero(is_hot)[0]
+        if hidx.size:
+            if side == 0:
+                # left rows SPLIT: salt by seq hash → one slot each
+                salt = _splitmix_route(np.asarray(batch["seq"], np.int64)[hidx], n_salt)
+                act = (base[hidx] + salt) % n_actors
+                plan += [(int(a), hidx[act == a]) for a in np.unique(act)]
             else:
-                is_hot = np.isin(keys, hot)
-                plan = [
-                    (a, np.nonzero((~is_hot) & (base == a))[0])
-                    for a in range(n_actors)
-                ]
-                hidx = np.nonzero(is_hot)[0]
-                if hidx.size:
-                    if side == 0:
-                        # left rows SPLIT: salt by seq hash → one slot each
-                        salt = _splitmix_route(
-                            np.asarray(batch["seq"], np.int64)[hidx], n_salt
-                        )
-                        act = (base[hidx] + salt) % n_actors
-                        plan += [
-                            (int(a), hidx[act == a]) for a in np.unique(act)
-                        ]
-                    else:
-                        # right rows REPLICATE to every salt slot
-                        for j in range(n_salt):
-                            act = (base[hidx] + j) % n_actors
-                            plan += [
-                                (int(a), hidx[act == a])
-                                for a in np.unique(act)
-                            ]
-            for a, idx in plan:
-                if idx.size == 0:
-                    continue
-                pending.append(actors[a].ingest.remote(side, batch.take(idx), wm))
-            tracker.update.remote(side, int(ts.max()))
-            consumed += 1
-            if len(pending) >= n_actors * 4:
-                done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-                for tables, _ in ray.get(done):
-                    pair_refs.extend(tables)
-            if (
-                checkpoint_every is not None
-                and consumed > skip_batches
-                and consumed % checkpoint_every == 0
-            ):
-                # barrier: every sent ingest absorbed before the snapshot
-                for tables, _ in ray.get(pending):
-                    pair_refs.extend(tables)
-                pending = []
-                blobs = ray.get([a.checkpoint_state.remote() for a in actors])
-                write_checkpoint(
-                    out_dir,
-                    consumed,
-                    blobs,
-                    {
-                        "epoch": sink_epoch,
-                        "wm": wm,
-                        "n_actors": n_actors,
-                        "micro_batch_rows": micro_batch_rows,
-                        "cfg_fp": cfg_fp,
-                        "src_fp": src_fp,
-                        "staged_files": staged_file_manifest(out_dir),
-                    },
-                )
-            if _stop_after_batches is not None and consumed >= _stop_after_batches:
-                raise RuntimeError(f"injected stop after {consumed} batches")
+                # right rows REPLICATE to every salt slot
+                for j in range(n_salt):
+                    act = (base[hidx] + j) % n_actors
+                    plan += [(int(a), hidx[act == a]) for a in np.unique(act)]
+        return plan
 
-    for tables, _ in ray.get(pending):
-        pair_refs.extend(tables)
-    if mode != "inner":
+    cols = [left_cols, right_cols]
+    return _drive(
+        [left_source, right_source], actors, WatermarkTracker.remote(2, allowed_lateness),
+        route, resume,
+        lambda t: (
+            pa.concat_tables(t).sort_by([("l_seq", "ascending"), ("r_seq", "ascending")])
+            if t
+            else None
+        ),
+        micro_batch_rows=micro_batch_rows, checkpoint_every=checkpoint_every,
+        stop_after=_stop_after_batches, ts_col="ts",
+        prepare=lambda side, b: _normalize(b, *cols[side]),
         # both logs ended: flush the remaining unmatched rows
-        for flushed in ray.get([a.flush_outer.remote() for a in actors]):
-            pair_refs.extend(flushed)
-
-    late_tables = [
-        t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None
-    ]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
-
-    if out_dir is not None:
-        res = _finalize_sink(actors, stats, late, out_dir, sink_epoch)
-        # a successful finalize makes the checkpoints dead weight
-        clear_checkpoints(out_dir)
-        return res
-
-    out = (
-        pa.concat_tables(pair_refs).sort_by(
-            [("l_seq", "ascending"), ("r_seq", "ascending")]
-        )
-        if pair_refs
-        else None
-    )
-    return StreamingResult(
-        output=out,
-        late=late,
-        n_late=sum(s["n_late"] for s in stats),
-        actor_stats=stats,
+        end=None if mode == "inner" else "flush_outer",
     )
 
 
@@ -386,135 +184,22 @@ def run_streaming_temporal_join(
     :func:`run_streaming_join` (dimension + pending-event buffers pickle;
     staged manifest truncates; the deterministic round-robin interleaving
     makes the skipped prefix line up)."""
-    num_partitions = scaled_parts(8, num_partitions)
-    from .checkpoint import clear_checkpoints, staged_file_manifest, write_checkpoint
-
-    if checkpoint_every is not None and out_dir is None:
-        raise ValueError("checkpoint_every requires sink mode (out_dir)")
-    cfg_fp = f"temporal:p={num_partitions}"
-    src_fp = _join_src_fp(dim_source) + "//" + _join_src_fp(event_source)
-    (
-        skip_batches,
-        ck_blobs,
-        restored_wm,
-        sink_done,
-        late_done,
-        sink_epoch,
-    ) = _ckpt_resume_or_fresh(
-        out_dir,
-        cfg_fp=cfg_fp,
-        src_fp=src_fp,
-        n_actors=n_actors,
-        micro_batch_rows=micro_batch_rows,
+    sink, resume = _resume_or_fresh(
+        "join", "temporal", [dim_source, event_source], n_actors=n_actors,
+        micro_batch_rows=micro_batch_rows, out_dir=out_dir,
+        num_partitions=num_partitions, checkpoint_every=checkpoint_every,
     )
-    actors = [
-        TemporalJoinActor.remote(
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
-        for _ in range(n_actors)
-    ]
-    if ck_blobs is not None:
-        ray.get([a.restore_state.remote(b) for a, b in zip(actors, ck_blobs)])
-    tracker = WatermarkTracker.remote(2, allowed_lateness)
-
-    out_refs: list = []
-    pending: list = []
-    wm = restored_wm
-    batch_idx = 0
-    consumed = 0
-    iters = [
-        _arrival_batches(dim_source, micro_batch_rows),
-        _arrival_batches(event_source, micro_batch_rows),
-    ]
+    actors = [TemporalJoinActor.remote(**sink) for _ in range(n_actors)]
     cols = [dim_cols, event_cols]
-    alive = [True, True]
-    while any(alive):
-        for side in (0, 1):
-            if not alive[side]:
-                continue
-            try:
-                raw = next(iters[side])
-            except StopIteration:
-                alive[side] = False
-                tracker.close_partition.remote(side)
-                continue
-            if consumed < skip_batches:
-                consumed += 1
-                continue
-            batch = _normalize(raw, *cols[side])
-            ts = np.asarray(batch["ts"], np.int64)
-            if batch_idx % 4 == 0:
-                wm = max(wm, ray.get(tracker.watermark.remote()))
-            batch_idx += 1
-            route = _splitmix_route(np.asarray(batch["key"], np.int64), n_actors)
-            for a in range(n_actors):
-                idx = np.nonzero(route == a)[0]
-                if idx.size == 0:
-                    continue
-                pending.append(actors[a].ingest.remote(side, batch.take(idx), wm))
-            tracker.update.remote(side, int(ts.max()))
-            consumed += 1
-            if len(pending) >= n_actors * 4:
-                done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-                for tables, _ in ray.get(done):
-                    out_refs.extend(tables)
-            if (
-                checkpoint_every is not None
-                and consumed > skip_batches
-                and consumed % checkpoint_every == 0
-            ):
-                for tables, _ in ray.get(pending):
-                    out_refs.extend(tables)
-                pending = []
-                blobs = ray.get([a.checkpoint_state.remote() for a in actors])
-                write_checkpoint(
-                    out_dir,
-                    consumed,
-                    blobs,
-                    {
-                        "epoch": sink_epoch,
-                        "wm": wm,
-                        "n_actors": n_actors,
-                        "micro_batch_rows": micro_batch_rows,
-                        "cfg_fp": cfg_fp,
-                        "src_fp": src_fp,
-                        "staged_files": staged_file_manifest(out_dir),
-                    },
-                )
-            if _stop_after_batches is not None and consumed >= _stop_after_batches:
-                raise RuntimeError(f"injected stop after {consumed} batches")
-
-    for tables, _ in ray.get(pending):
-        out_refs.extend(tables)
-    # both logs closed: drain the buffered event tails
-    for tables in ray.get([a.drain.remote() for a in actors]):
-        out_refs.extend(tables)
-
-    late_tables = [
-        t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None
-    ]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
-
-    if out_dir is not None:
-        res = _finalize_sink(actors, stats, late, out_dir, sink_epoch)
-        clear_checkpoints(out_dir)
-        return res
-
-    out = (
-        pa.concat_tables(out_refs).sort_by([("e_seq", "ascending")])
-        if out_refs
-        else None
-    )
-    return StreamingResult(
-        output=out,
-        late=late,
-        n_late=sum(s["n_late"] for s in stats),
-        actor_stats=stats,
+    return _drive(
+        [dim_source, event_source], actors, WatermarkTracker.remote(2, allowed_lateness),
+        _key_route("key", n_actors), resume,
+        lambda t: pa.concat_tables(t).sort_by([("e_seq", "ascending")]) if t else None,
+        micro_batch_rows=micro_batch_rows, checkpoint_every=checkpoint_every,
+        stop_after=_stop_after_batches, ts_col="ts",
+        prepare=lambda side, b: _normalize(b, *cols[side]),
+        # both logs closed: drain the buffered event tails
+        end="drain",
     )
 
 

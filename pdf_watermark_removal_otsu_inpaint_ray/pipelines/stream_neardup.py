@@ -28,8 +28,6 @@ watermark advance):
 
 from __future__ import annotations
 
-from ..config import scaled_parts
-
 import numpy as np
 import pyarrow as pa
 
@@ -42,8 +40,7 @@ from ..state.neardup_state import (
     doc_signature_bands,
 )
 from ..state.watermark_tracker import WatermarkTracker
-from .stream_join import _ckpt_resume_or_fresh, _join_src_fp
-from .streaming import StreamingResult, _arrival_batches, _finalize_sink
+from .streaming import StreamingResult, _arrival_batches, _finalize_sink, _resume_or_fresh
 
 
 def _resolve_intra_epoch(
@@ -116,44 +113,22 @@ def run_streaming_neardup(
     with (doc_id, text, event_ts) rows.  Ray must already be initialised
     by the caller.  Emits the KEPT rows — byte-equal to
     ``serial_neardup_mask`` over the same rows whenever no row goes
-    late.  ``checkpoint_every``: the shared two-log snapshot protocol —
+    late.  ``checkpoint_every``: the streaming runtime's resume protocol
+    (``streaming._resume_or_fresh``) under this consumer's own epoch loop —
     actor blobs carry payload custody + the band index; ONE extra blob
     carries the driver's undecided metadata buffer (bounded by the
     lateness window) + watermark scalars."""
-    num_partitions = scaled_parts(8, num_partitions)
     import pickle
 
     from .checkpoint import clear_checkpoints, staged_file_manifest, write_checkpoint
 
-    if checkpoint_every is not None and out_dir is None:
-        raise ValueError("checkpoint_every requires sink mode (out_dir)")
-    cfg_fp = f"neardup:m={min_agree}:p={num_partitions}"
-    src_fp = _join_src_fp(source)
-    (
-        skip_batches,
-        ck_blobs,
-        _restored_wm,
-        sink_done,
-        late_done,
-        sink_epoch,
-    ) = _ckpt_resume_or_fresh(
-        out_dir,
-        cfg_fp=cfg_fp,
-        src_fp=src_fp,
-        n_actors=n_actors,
-        micro_batch_rows=micro_batch_rows,
+    sink, resume = _resume_or_fresh(
+        "near-dup", f"neardup:m={min_agree}", [source], n_actors=n_actors,
+        micro_batch_rows=micro_batch_rows, out_dir=out_dir,
+        num_partitions=num_partitions, checkpoint_every=checkpoint_every,
     )
-    workers = [
-        NearDupWorker.remote(
-            min_agree=min_agree,
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
-        for _ in range(n_actors)
-    ]
+    skip_batches, ck_blobs = resume.skip, resume.blobs
+    workers = [NearDupWorker.remote(min_agree=min_agree, **sink) for _ in range(n_actors)]
     tracker = WatermarkTracker.remote(1, allowed_lateness)
 
     meta: list[dict] = []  # undecided metadata (driver-held, payload-free)
@@ -330,13 +305,9 @@ def run_streaming_neardup(
                 consumed,
                 blobs,
                 {
-                    "epoch": sink_epoch,
+                    **resume.meta,
                     "wm": int(wm),
                     "n_blobs": n_actors + 1,
-                    "n_actors": n_actors,
-                    "micro_batch_rows": micro_batch_rows,
-                    "cfg_fp": cfg_fp,
-                    "src_fp": src_fp,
                     "staged_files": staged_file_manifest(out_dir),
                 },
             )
@@ -351,7 +322,7 @@ def run_streaming_neardup(
     late = pa.concat_tables(late_tables) if late_tables else None
 
     if out_dir is not None:
-        res = _finalize_sink(workers, stats, late, out_dir, sink_epoch)
+        res = _finalize_sink(workers, stats, late, out_dir, resume.meta["epoch"])
         clear_checkpoints(out_dir)
         return res
 

@@ -19,16 +19,11 @@ by skipping replayed micro-batches (kill-and-replay equal by test).
 
 from __future__ import annotations
 
-from ..config import scaled_parts
-
-import numpy as np
 import pyarrow as pa
-
-import ray
 
 from ..sinks.exactly_once import hash_partition_ids
 from ..state.pack_state import PackStateActor
-from .streaming import StreamingResult, _arrival_batches
+from .streaming import StreamingResult, _by_actor, _drive, _resume_or_fresh
 
 
 def run_streaming_pack(
@@ -53,170 +48,25 @@ def run_streaming_pack(
     example stream is tokens/L rows — NOT driver-sized — so each actor
     stages completed examples straight into the exactly-once layout
     (stamped with a (source, example) partition key) and the driver
-    commits manifests only; checkpoints then ride the shared two-log
-    protocol (staged-file manifest truncation on resume) instead of the
-    driver-buffer blob."""
-    num_partitions = scaled_parts(8, num_partitions)
-    from .checkpoint import (
-        clear_checkpoints,
-        latest_checkpoint,
-        staged_file_manifest,
-        write_checkpoint,
-    )
-    from .stream_join import _ckpt_resume_or_fresh, _join_src_fp
-
-    if checkpoint_every is not None and ckpt_dir is None and out_dir is None:
-        raise ValueError("checkpoint_every requires ckpt_dir or out_dir")
+    commits manifests only; checkpoints then snapshot the staged-file
+    manifest (truncated to on resume) instead of the driver-buffer blob.
+    Both modes run on the streaming runtime (``streaming._drive``)."""
     if ckpt_dir is not None and out_dir is not None:
         raise ValueError("pass ckpt_dir only in driver-collected mode")
-    cfg_fp = f"pack:{source_col}:L={length}:p={num_partitions}"
+    sink, resume = _resume_or_fresh(
+        "pack", f"pack:{source_col}:L={length}", [source], n_actors=n_actors,
+        micro_batch_rows=micro_batch_rows, out_dir=out_dir,
+        num_partitions=num_partitions, ckpt_dir=ckpt_dir,
+        checkpoint_every=checkpoint_every,
+    )
+    actors = [PackStateActor.remote(length=length, **sink) for _ in range(n_actors)]
 
-    skip_batches, ck_blobs = 0, None
-    sink_done: frozenset[int] = frozenset()
-    late_done: frozenset[int] = frozenset()
-    sink_epoch = 0
-    if out_dir is not None:
-        (
-            skip_batches,
-            ck_blobs,
-            _restored_wm,
-            sink_done,
-            late_done,
-            sink_epoch,
-        ) = _ckpt_resume_or_fresh(
-            out_dir,
-            cfg_fp=cfg_fp,
-            src_fp=_join_src_fp(source),
-            n_actors=n_actors,
-            micro_batch_rows=micro_batch_rows,
-        )
-    elif ckpt_dir is not None:
-        ck = latest_checkpoint(ckpt_dir)
-        if ck is not None:
-            skip_batches, ck_meta, ck_blobs = ck
-            if (
-                int(ck_meta["n_actors"]) != n_actors
-                or int(ck_meta["micro_batch_rows"]) != micro_batch_rows
-            ):
-                raise RuntimeError(
-                    "checkpoint was taken with different n_actors/"
-                    "micro_batch_rows; resuming would desynchronize routing"
-                )
-            if ck_meta.get("cfg_fp") != cfg_fp:
-                raise RuntimeError(
-                    "checkpoint was taken under a different pack config; "
-                    "delete the ckpt dir to start fresh"
-                )
-
-    actors = [
-        PackStateActor.remote(
-            length=length,
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
-        for _ in range(n_actors)
-    ]
-    out_tables: list[pa.Table] = []
-    if ck_blobs is not None:
-        ray.get(
-            [a.restore_state.remote(b) for a, b in zip(actors, ck_blobs)]
-        )
-        if len(ck_blobs) > n_actors:
-            # the emitted-output buffer rides the snapshot as an EXTRA blob
-            # (the near-dup consumer's n_blobs precedent): examples emitted
-            # before the cursor would otherwise vanish with the dead driver
-            import pickle
-
-            out_tables.extend(pickle.loads(ck_blobs[n_actors]))
-    pending: list = []
-    consumed = 0
-    for batch in _arrival_batches(source, micro_batch_rows):
-        if consumed < skip_batches:
-            consumed += 1
-            continue
-        route = hash_partition_ids(
-            batch[source_col].combine_chunks(), n_actors
-        )
-        for a in range(n_actors):
-            idx = np.nonzero(route == a)[0]
-            if idx.size == 0:
-                continue
-            pending.append(actors[a].ingest.remote(batch.take(idx)))
-        consumed += 1
-        if len(pending) >= n_actors * 4:
-            done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-            for tables in ray.get(done):
-                out_tables.extend(tables)
-        if (
-            checkpoint_every is not None
-            and consumed > skip_batches
-            and consumed % checkpoint_every == 0
-        ):
-            for tables in ray.get(pending):
-                out_tables.extend(tables)
-            pending = []
-            blobs = ray.get([a.checkpoint_state.remote() for a in actors])
-            if out_dir is not None:
-                # sink mode: staged files ARE the output log — snapshot the
-                # manifest; resume truncates the staged tree to it
-                write_checkpoint(
-                    out_dir,
-                    consumed,
-                    blobs,
-                    {
-                        "epoch": sink_epoch,
-                        "wm": 0,
-                        "n_actors": n_actors,
-                        "micro_batch_rows": micro_batch_rows,
-                        "cfg_fp": cfg_fp,
-                        "src_fp": _join_src_fp(source),
-                        "staged_files": staged_file_manifest(out_dir),
-                    },
-                )
-            else:
-                import pickle
-
-                blobs.append(pickle.dumps(out_tables))
-                write_checkpoint(
-                    ckpt_dir,
-                    consumed,
-                    blobs,
-                    {
-                        "epoch": 0,
-                        "wm": 0,
-                        "n_actors": n_actors,
-                        "n_blobs": n_actors + 1,
-                        "micro_batch_rows": micro_batch_rows,
-                        "cfg_fp": cfg_fp,
-                        "staged_files": {},
-                    },
-                )
-        if _stop_after_batches is not None and consumed >= _stop_after_batches:
-            raise RuntimeError(f"injected stop after {consumed} batches")
-
-    for tables in ray.get(pending):
-        out_tables.extend(tables)
-    for tables in ray.get([a.flush.remote() for a in actors]):
-        out_tables.extend(tables)
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    if out_dir is not None:
-        from .streaming import _finalize_sink
-
-        res = _finalize_sink(actors, stats, None, out_dir, sink_epoch)
-        clear_checkpoints(out_dir)
-        return res
-    if ckpt_dir is not None:
-        clear_checkpoints(ckpt_dir)
-
-    out = (
-        pa.concat_tables(out_tables).sort_by(
-            [(source_col, "ascending"), ("example_id", "ascending")]
-        )
-        if out_tables
-        else pa.table(
+    def shape(tables: list) -> pa.Table:
+        if tables:
+            return pa.concat_tables(tables).sort_by(
+                [(source_col, "ascending"), ("example_id", "ascending")]
+            )
+        return pa.table(
             {
                 source_col: pa.array([], pa.string()),
                 "example_id": pa.array([], pa.int64()),
@@ -227,5 +77,12 @@ def run_streaming_pack(
                 "n_docs": pa.array([], pa.int64()),
             }
         )
+
+    return _drive(
+        [source], actors, None,
+        lambda _s, b: _by_actor(
+            hash_partition_ids(b[source_col].combine_chunks(), n_actors), n_actors
+        ),
+        resume, shape, micro_batch_rows=micro_batch_rows,
+        checkpoint_every=checkpoint_every, stop_after=_stop_after_batches,
     )
-    return StreamingResult(output=out, late=None, n_late=0, actor_stats=stats)

@@ -21,11 +21,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
-
-from ..state.dedup_state import _splitmix_route
+from ..state.topk_state import TopkStateActor
 from ..state.watermark_tracker import WatermarkTracker
-from .streaming import StreamingResult, _arrival_batches
+from .streaming import StreamingResult, _drive, _key_route, _Resume
 
 
 def run_streaming_topk(
@@ -46,59 +44,17 @@ def run_streaming_topk(
     with ``rnk`` 1..k per window (count DESC, key ASC).  ``slide`` < 
     window_size runs SLIDING windows (each row joins its ws/slide
     overlapping windows inside the actor; window_id = start // slide)."""
-    from ..state.topk_state import TopkStateActor
 
-    actors = [
-        TopkStateActor.remote(
-            window_size=window_size, k=k, key_col=key_col, ts_col=ts_col,
-            slide=slide,
-        )
-        for _ in range(n_actors)
-    ]
-    tracker = WatermarkTracker.remote(1, allowed_lateness)
-
-    cand: list = []
-    pending: list = []
-    wm = -(1 << 62)
-    batch_idx = 0
-    for batch in _arrival_batches(source, micro_batch_rows):
-        ts = np.asarray(batch[ts_col], dtype=np.int64)
-        if batch_idx % 4 == 0:
-            wm = max(wm, ray.get(tracker.watermark.remote()))
-        batch_idx += 1
-        route = _splitmix_route(np.asarray(batch[key_col], np.int64), n_actors)
-        for a in range(n_actors):
-            idx = np.nonzero(route == a)[0]
-            if idx.size == 0:
-                continue
-            pending.append(actors[a].ingest.remote(batch.take(idx), wm))
-        tracker.update.remote(0, int(ts.max()))
-        if len(pending) >= n_actors * 4:
-            done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-            for tables, _ in ray.get(done):
-                cand.extend(tables)
-
-    for tables, _ in ray.get(pending):
-        cand.extend(tables)
-    for flushed in ray.get([a.flush.remote() for a in actors]):
-        cand.extend(flushed)
-
-    late_tables = [
-        t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None
-    ]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
-
-    if not cand:
-        out = pa.table(
-            {
-                "window_id": pa.array([], pa.int64()),
-                key_col: pa.array([], pa.int64()),
-                "cnt": pa.array([], pa.int64()),
-                "rnk": pa.array([], pa.int64()),
-            }
-        )
-    else:
+    def shape(cand: list) -> pa.Table:
+        if not cand:
+            return pa.table(
+                {
+                    "window_id": pa.array([], pa.int64()),
+                    key_col: pa.array([], pa.int64()),
+                    "cnt": pa.array([], pa.int64()),
+                    "rnk": pa.array([], pa.int64()),
+                }
+            )
         # global trim of the k x actors x windows candidate rows
         t = pa.concat_tables(cand)
         w = np.asarray(t["window_id"], np.int64)
@@ -111,7 +67,7 @@ def run_streaming_topk(
         start = np.maximum.accumulate(np.where(first, idx, 0))
         rnk = idx - start + 1
         keep = rnk <= k
-        out = pa.table(
+        return pa.table(
             {
                 "window_id": pa.array(w[keep], pa.int64()),
                 key_col: pa.array(kk[keep], pa.int64()),
@@ -120,11 +76,14 @@ def run_streaming_topk(
             }
         )
 
-    return StreamingResult(
-        output=out,
-        late=late,
-        n_late=sum(s["n_late"] for s in stats),
-        actor_stats=stats,
+    actors = [
+        TopkStateActor.remote(key_col=key_col, ts_col=ts_col, window_size=window_size, k=k, slide=slide)
+        for _ in range(n_actors)
+    ]
+    return _drive(
+        [source], actors, WatermarkTracker.remote(1, allowed_lateness),
+        _key_route(key_col, n_actors), _Resume(), shape,
+        micro_batch_rows=micro_batch_rows, ts_col=ts_col,
     )
 
 
@@ -143,74 +102,35 @@ def run_streaming_distinct(
     distinct count of a window is the SUM of per-actor cell counts at
     close).  Returns ``(window_id, n_distinct)``; per-window driver traffic
     is one int64 row per actor."""
-    from ..state.topk_state import TopkStateActor
 
-    actors = [
-        TopkStateActor.remote(
-            window_size=window_size, k=1, key_col=key_col, ts_col=ts_col,
-            emit="distinct",
-        )
-        for _ in range(n_actors)
-    ]
-    tracker = WatermarkTracker.remote(1, allowed_lateness)
-
-    cand: list = []
-    pending: list = []
-    wm = -(1 << 62)
-    batch_idx = 0
-    for batch in _arrival_batches(source, micro_batch_rows):
-        ts = np.asarray(batch[ts_col], dtype=np.int64)
-        if batch_idx % 4 == 0:
-            wm = max(wm, ray.get(tracker.watermark.remote()))
-        batch_idx += 1
-        route = _splitmix_route(np.asarray(batch[key_col], np.int64), n_actors)
-        for a in range(n_actors):
-            idx = np.nonzero(route == a)[0]
-            if idx.size == 0:
-                continue
-            pending.append(actors[a].ingest.remote(batch.take(idx), wm))
-        tracker.update.remote(0, int(ts.max()))
-        if len(pending) >= n_actors * 4:
-            done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-            for tables, _ in ray.get(done):
-                cand.extend(tables)
-
-    for tables, _ in ray.get(pending):
-        cand.extend(tables)
-    for flushed in ray.get([a.flush.remote() for a in actors]):
-        cand.extend(flushed)
-
-    late_tables = [
-        t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None
-    ]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
-
-    if not cand:
-        out = pa.table(
-            {
-                "window_id": pa.array([], pa.int64()),
-                "n_distinct": pa.array([], pa.int64()),
-            }
-        )
-    else:
+    def shape(cand: list) -> pa.Table:
+        if not cand:
+            return pa.table(
+                {
+                    "window_id": pa.array([], pa.int64()),
+                    "n_distinct": pa.array([], pa.int64()),
+                }
+            )
         t = pa.concat_tables(cand)
         w = np.asarray(t["window_id"], np.int64)
         c = np.asarray(t["n_distinct"], np.int64)
         wu, inv = np.unique(w, return_inverse=True)
         sums = np.bincount(inv, weights=c, minlength=wu.size).astype(np.int64)
-        out = pa.table(
+        return pa.table(
             {
                 "window_id": pa.array(wu, pa.int64()),
                 "n_distinct": pa.array(sums, pa.int64()),
             }
         )
 
-    return StreamingResult(
-        output=out,
-        late=late,
-        n_late=sum(s["n_late"] for s in stats),
-        actor_stats=stats,
+    actors = [
+        TopkStateActor.remote(key_col=key_col, ts_col=ts_col, window_size=window_size, k=1, emit="distinct")
+        for _ in range(n_actors)
+    ]
+    return _drive(
+        [source], actors, WatermarkTracker.remote(1, allowed_lateness),
+        _key_route(key_col, n_actors), _Resume(), shape,
+        micro_batch_rows=micro_batch_rows, ts_col=ts_col,
     )
 
 
@@ -242,59 +162,17 @@ def run_streaming_quantiles(
     window_id = start // slide)."""
     import math
 
-    from ..state.topk_state import TopkStateActor
-
-    actors = [
-        TopkStateActor.remote(
-            window_size=window_size, k=1, key_col=key_col, ts_col=ts_col,
-            emit="hist", slide=slide,
-        )
-        for _ in range(n_actors)
-    ]
-    tracker = WatermarkTracker.remote(1, allowed_lateness)
-
-    cand: list = []
-    pending: list = []
-    wm = -(1 << 62)
-    batch_idx = 0
-    for batch in _arrival_batches(source, micro_batch_rows):
-        ts = np.asarray(batch[ts_col], dtype=np.int64)
-        if batch_idx % 4 == 0:
-            wm = max(wm, ray.get(tracker.watermark.remote()))
-        batch_idx += 1
-        route = _splitmix_route(np.asarray(batch[key_col], np.int64), n_actors)
-        for a in range(n_actors):
-            idx = np.nonzero(route == a)[0]
-            if idx.size == 0:
-                continue
-            pending.append(actors[a].ingest.remote(batch.take(idx), wm))
-        tracker.update.remote(0, int(ts.max()))
-        if len(pending) >= n_actors * 4:
-            done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-            for tables, _ in ray.get(done):
-                cand.extend(tables)
-
-    for tables, _ in ray.get(pending):
-        cand.extend(tables)
-    for flushed in ray.get([a.flush.remote() for a in actors]):
-        cand.extend(flushed)
-
-    late_tables = [
-        t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None
-    ]
-    stats = ray.get([a.state_stats.remote() for a in actors])
-    late = pa.concat_tables(late_tables) if late_tables else None
-
     pcols = [f"p{int(round(q * 100))}" for q in probs]
-    if not cand:
-        out = pa.table(
-            {
-                "window_id": pa.array([], pa.int64()),
-                **{pc_: pa.array([], pa.int64()) for pc_ in pcols},
-                "n": pa.array([], pa.int64()),
-            }
-        )
-    else:
+
+    def shape(cand: list) -> pa.Table:
+        if not cand:
+            return pa.table(
+                {
+                    "window_id": pa.array([], pa.int64()),
+                    **{pc_: pa.array([], pa.int64()) for pc_ in pcols},
+                    "n": pa.array([], pa.int64()),
+                }
+            )
         # fold the actors x windows x bins sparse cells: one lexsort by
         # (window, bin) — cells are already unique across actors (bin-hash
         # routing), so the cumulative count per window reads directly off
@@ -318,7 +196,7 @@ def run_streaming_quantiles(
             for q, pc_ in zip(probs, pcols):
                 target = math.ceil(q * tot)
                 cols[pc_].append(int(b[s + np.searchsorted(run, target)]))
-        out = pa.table(
+        return pa.table(
             {
                 "window_id": pa.array(wu, pa.int64()),
                 **{pc_: pa.array(cols[pc_], pa.int64()) for pc_ in pcols},
@@ -326,9 +204,12 @@ def run_streaming_quantiles(
             }
         )
 
-    return StreamingResult(
-        output=out,
-        late=late,
-        n_late=sum(s["n_late"] for s in stats),
-        actor_stats=stats,
+    actors = [
+        TopkStateActor.remote(key_col=key_col, ts_col=ts_col, window_size=window_size, k=1, emit="hist", slide=slide)
+        for _ in range(n_actors)
+    ]
+    return _drive(
+        [source], actors, WatermarkTracker.remote(1, allowed_lateness),
+        _key_route(key_col, n_actors), _Resume(), shape,
+        micro_batch_rows=micro_batch_rows, ts_col=ts_col,
     )

@@ -13,17 +13,10 @@ exactly-once layout; the driver moves manifests only.
 
 from __future__ import annotations
 
-from ..config import scaled_parts
-
-import numpy as np
 import pyarrow as pa
 
-import ray
-
-from ..state.dedup_state import _splitmix_route
 from ..state.upsert_state import UpsertStateActor
-from .stream_join import _ckpt_resume_or_fresh, _join_src_fp
-from .streaming import StreamingResult, _arrival_batches, _finalize_sink
+from .streaming import StreamingResult, _drive, _key_route, _resume_or_fresh
 
 
 def run_streaming_latest(
@@ -43,103 +36,24 @@ def run_streaming_latest(
     """Materialize the latest row per key over a Parquet path / Dataset
     changelog.  Ray must already be initialised by the caller.  Output is
     byte-equal to ``grouped_latest`` over the same rows (the
-    ``row_number() = 1`` window twin).  ``checkpoint_every``: the shared
-    two-log snapshot protocol (state + per-batch delta buffer ride the
+    ``row_number() = 1`` window twin).  ``checkpoint_every``: the streaming
+    runtime's snapshot protocol (state + per-batch delta buffer ride the
     actor blobs; no watermark to restore — the monoid commutes)."""
-    num_partitions = scaled_parts(8, num_partitions)
-    from .checkpoint import clear_checkpoints, staged_file_manifest, write_checkpoint
-
-    if checkpoint_every is not None and out_dir is None:
-        raise ValueError("checkpoint_every requires sink mode (out_dir)")
-    cfg_fp = f"latest:{group_col}:{order_col}:{tiebreak_col}:p={num_partitions}"
-    src_fp = _join_src_fp(source)
-    (
-        skip_batches,
-        ck_blobs,
-        _restored_wm,
-        sink_done,
-        late_done,
-        sink_epoch,
-    ) = _ckpt_resume_or_fresh(
-        out_dir,
-        cfg_fp=cfg_fp,
-        src_fp=src_fp,
-        n_actors=n_actors,
-        micro_batch_rows=micro_batch_rows,
+    sink, resume = _resume_or_fresh(
+        "latest", f"latest:{group_col}:{order_col}:{tiebreak_col}", [source],
+        n_actors=n_actors, micro_batch_rows=micro_batch_rows, out_dir=out_dir,
+        num_partitions=num_partitions, checkpoint_every=checkpoint_every,
     )
     actors = [
         UpsertStateActor.remote(
-            group_col=group_col,
-            order_col=order_col,
-            tiebreak_col=tiebreak_col,
-            compact_rows=compact_rows,
-            sink_dir=out_dir,
-            sink_partitions=num_partitions,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
+            group_col=group_col, order_col=order_col, tiebreak_col=tiebreak_col,
+            compact_rows=compact_rows, **sink,
         )
         for _ in range(n_actors)
     ]
-
-    if ck_blobs is not None:
-        ray.get([a.restore_state.remote(b) for a, b in zip(actors, ck_blobs)])
-
-    pending: list = []
-    consumed = 0
-    for batch in _arrival_batches(source, micro_batch_rows):
-        if consumed < skip_batches:
-            consumed += 1
-            continue
-        route = _splitmix_route(np.asarray(batch[group_col], np.int64), n_actors)
-        for a in range(n_actors):
-            idx = np.nonzero(route == a)[0]
-            if idx.size == 0:
-                continue
-            pending.append(actors[a].ingest.remote(batch.take(idx)))
-        consumed += 1
-        if len(pending) >= n_actors * 4:
-            done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-            ray.get(done)
-        if (
-            checkpoint_every is not None
-            and consumed > skip_batches
-            and consumed % checkpoint_every == 0
-        ):
-            ray.get(pending)
-            pending = []
-            blobs = ray.get([a.checkpoint_state.remote() for a in actors])
-            write_checkpoint(
-                out_dir,
-                consumed,
-                blobs,
-                {
-                    "epoch": sink_epoch,
-                    "wm": 0,
-                    "n_actors": n_actors,
-                    "micro_batch_rows": micro_batch_rows,
-                    "cfg_fp": cfg_fp,
-                    "src_fp": src_fp,
-                    "staged_files": staged_file_manifest(out_dir),
-                },
-            )
-        if _stop_after_batches is not None and consumed >= _stop_after_batches:
-            raise RuntimeError(f"injected stop after {consumed} batches")
-
-    ray.get(pending)
-    out_tables: list[pa.Table] = []
-    for flushed in ray.get([a.flush.remote() for a in actors]):
-        out_tables.extend(flushed)
-    stats = ray.get([a.state_stats.remote() for a in actors])
-
-    if out_dir is not None:
-        res = _finalize_sink(actors, stats, None, out_dir, sink_epoch)
-        clear_checkpoints(out_dir)
-        return res
-
-    out = (
-        pa.concat_tables(out_tables).sort_by(group_col).drop_columns(["doc_id"])
-        if out_tables
-        else None
+    return _drive(
+        [source], actors, None, _key_route(group_col, n_actors), resume,
+        lambda t: pa.concat_tables(t).sort_by(group_col).drop_columns(["doc_id"]) if t else None,
+        micro_batch_rows=micro_batch_rows, checkpoint_every=checkpoint_every,
+        stop_after=_stop_after_batches,
     )
-    return StreamingResult(output=out, late=None, n_late=0, actor_stats=stats)

@@ -19,6 +19,7 @@ the same loop runs one consumer task per input partition.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 from dataclasses import dataclass, field
 
@@ -108,37 +109,6 @@ class StreamingResult:
     late_report: pa.Table | None = None
 
 
-def _sink_done_sets(out_dir: str | None) -> tuple[frozenset[int], frozenset[int], int]:
-    """(main, late, epoch) for resume: committed-partition sets plus a fresh
-    staging epoch for this run (empty sets / epoch 0 without a sink).  The
-    epoch makes finalize single-attempt-consistent — a crashed earlier
-    attempt's staged rows are discarded, never mixed into this run's
-    commit (the streaming consumers' watermark timing is not replay-
-    deterministic, so attempt mixing could double-place a borderline row
-    across the main and late layouts)."""
-    if out_dir is None:
-        return frozenset(), frozenset(), 0
-    import os
-
-    from ..sinks.exactly_once import (
-        adopt_epoch,
-        begin_epoch,
-        committed_partitions,
-        late_dir,
-    )
-
-    os.makedirs(out_dir, exist_ok=True)
-    epoch = begin_epoch(out_dir)
-    # the late layout stages with the SAME epoch number — keep its marker in
-    # lockstep so its finalize judges staleness identically
-    adopt_epoch(late_dir(out_dir), epoch)
-    return (
-        frozenset(committed_partitions(out_dir)),
-        frozenset(committed_partitions(late_dir(out_dir))),
-        epoch,
-    )
-
-
 def _sink_partitions(out_dir: str | None, num_partitions: int | None) -> int:
     """The sink partition count of a call: an explicit value wins, a sink
     that already holds output adopts its pinned count (a resume after a
@@ -151,10 +121,41 @@ def _sink_partitions(out_dir: str | None, num_partitions: int | None) -> int:
     return scaled_parts(8, num_partitions)
 
 
-def _sink_args(out_dir: str | None, num_partitions: int | None) -> dict:
-    """``KeyedStateActor`` sink arguments of a call that starts from the
-    sink's committed state (every run but a checkpoint resume)."""
-    sink_done, late_done, sink_epoch = _sink_done_sets(out_dir)
+def _sink_args(
+    out_dir: str | None, num_partitions: int | None, epoch: int | None = None
+) -> dict:
+    """``KeyedStateActor`` sink arguments of a call: the sink's committed
+    main and late partition sets, its partition count and this run's
+    staging epoch (empty sets and epoch 0 without a sink).  A fresh run
+    begins a new epoch; a checkpoint resume passes the CHECKPOINTED
+    ``epoch`` and adopts it (a fresh epoch would discard the staged rows
+    the checkpoint covers).  The epoch makes finalize
+    single-attempt-consistent — a crashed earlier attempt's staged rows are
+    discarded, never mixed into this run's commit (the streaming consumers'
+    watermark timing is not replay-deterministic, so attempt mixing could
+    double-place a borderline row across the main and late layouts)."""
+    sink_done, late_done, sink_epoch = frozenset(), frozenset(), 0
+    if out_dir is not None:
+        import os
+
+        from ..sinks.exactly_once import (
+            adopt_epoch,
+            begin_epoch,
+            committed_partitions,
+            late_dir,
+        )
+
+        os.makedirs(out_dir, exist_ok=True)
+        if epoch is None:
+            sink_epoch = begin_epoch(out_dir)
+        else:
+            sink_epoch = epoch
+            adopt_epoch(out_dir, epoch)
+        # the late layout stages with the SAME epoch number — keep its marker
+        # in lockstep so its finalize judges staleness identically
+        adopt_epoch(late_dir(out_dir), sink_epoch)
+        sink_done = frozenset(committed_partitions(out_dir))
+        late_done = frozenset(committed_partitions(late_dir(out_dir)))
     return {
         "sink_dir": out_dir,
         "sink_partitions": _sink_partitions(out_dir, num_partitions),
@@ -291,6 +292,323 @@ def _finalize_sink(
     )
 
 
+def _gather(
+    actors, emitted: list, out_dir: str | None, epoch: int, shape, *,
+    late: bool = True, consumer_metrics=None,
+) -> StreamingResult:
+    """The end-of-stream gathers every engine shares once its actors hold
+    their last output: ``late_rows`` (consumers with a late path),
+    ``state_stats``, then the sink commit (sink mode: ``emitted`` stayed
+    empty, the driver moves manifests only) or ``shape(emitted)`` as the
+    driver-collected output."""
+    late_t = None
+    if late:
+        tables = [t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None]
+        late_t = pa.concat_tables(tables) if tables else None
+    stats = ray.get([a.state_stats.remote() for a in actors])
+    if out_dir is not None:
+        return _finalize_sink(actors, stats, late_t, out_dir, epoch, consumer_metrics)
+    return StreamingResult(
+        output=shape(emitted),
+        late=late_t,
+        n_late=sum(s["n_late"] for s in stats) if late else 0,
+        actor_stats=stats,
+    )
+
+
+def _split_log(source, n_partitions: int) -> list[list[str]]:
+    """A stream's files dealt round-robin to at most ``n_partitions``
+    consumers (files are time-ordered chunks, so partitions stay roughly in
+    lockstep)."""
+    paths = _resolve_parquet_paths(source) if isinstance(source, str) else list(source)
+    n = min(n_partitions, max(1, len(paths)))
+    return [paths[i::n] for i in range(n)]
+
+
+# -- the single-consumer runtime ---------------------------------------------
+#
+# Every single-consumer streaming entry point runs the same micro-batch
+# protocol (read, watermark, route, ingest, drain, checkpoint, end-of-stream
+# gathers, sink commit).  ``_resume_or_fresh`` sets a call up and ``_drive``
+# runs it; a consumer keeps only its actors, its routing and its output shape.
+
+
+def _source_fp(source) -> str:
+    """A log's checkpoint identity: its files' base names and sizes.  A
+    Dataset cannot be fingerprinted and records "dataset" (resume then
+    guards only the config and the routing)."""
+    if not isinstance(source, str):
+        return "dataset"
+    import os
+
+    return repr(
+        [(os.path.basename(p), os.path.getsize(p)) for p in _resolve_parquet_paths(source)]
+    )
+
+
+@dataclass
+class _Resume:
+    """Where one call checkpoints and what it resumes from.  ``root`` holds
+    the checkpoints: ``out_dir`` in sink mode, else the consumer's
+    ``ckpt_dir`` (None: no checkpoints).  ``meta`` (routing, fingerprints,
+    staging epoch) is written with every checkpoint.  ``skip``, ``blobs``
+    and ``wm`` come from the checkpoint resumed."""
+
+    out_dir: str | None = None
+    root: str | None = None
+    meta: dict = field(default_factory=dict)
+    skip: int = 0
+    blobs: list | None = None
+    wm: int = -(1 << 62)
+
+
+def _resume_or_fresh(
+    kind: str,
+    cfg_fp: str,
+    logs: list,
+    *,
+    n_actors: int,
+    micro_batch_rows: int,
+    out_dir: str | None = None,
+    num_partitions: int | None = None,
+    ckpt_dir: str | None = None,
+    checkpoint_every: int | None = None,
+) -> tuple[dict, _Resume]:
+    """Set up one call's sink and resume state: adopt the latest checkpoint
+    under ``out_dir`` (else ``ckpt_dir``) or start fresh.  Returns the
+    actors' sink arguments (``_sink_args``' shape) and the ``_Resume``.
+
+    A checkpoint is adopted only if it was taken with the same ``n_actors``
+    and ``micro_batch_rows`` (hash routing and batch numbering), the same
+    ``cfg_fp`` (restoring state under another config would commit wrong
+    output with no error) and the same sources (``_source_fp`` of each log
+    in ``logs``: the skipped prefix must be the data the restored state
+    absorbed).  In sink mode the resume adopts the CHECKPOINTED staging
+    epoch (a fresh ``begin_epoch`` would discard the pre-checkpoint staged
+    rows at finalize) and truncates the staged log to the snapshot's
+    manifest, so whatever a crashed continuation staged after the
+    checkpoint is re-decided exactly once.  The partition count is
+    ``_sink_partitions``': a resume with none given adopts the sink's
+    pinned count."""
+    from .checkpoint import latest_checkpoint, truncate_staged
+
+    root = out_dir if out_dir is not None else ckpt_dir
+    if checkpoint_every is not None and root is None:
+        raise ValueError(
+            "checkpoint_every requires sink mode (out_dir) or, for consumers "
+            "that take one, a ckpt_dir"
+        )
+    meta = {
+        "n_actors": n_actors,
+        "micro_batch_rows": micro_batch_rows,
+        "cfg_fp": cfg_fp,
+        "src_fp": "//".join(_source_fp(s) for s in logs),
+    }
+    ck = latest_checkpoint(root) if root is not None else None
+    epoch = None
+    if ck is not None:
+        skip, ck_meta, blobs = ck
+        if (
+            int(ck_meta["n_actors"]) != n_actors
+            or int(ck_meta["micro_batch_rows"]) != micro_batch_rows
+        ):
+            raise RuntimeError(
+                f"checkpoint was taken with n_actors={ck_meta['n_actors']}/"
+                f"micro_batch_rows={ck_meta['micro_batch_rows']}; resuming with "
+                "different values would desynchronize hash routing / batch numbering"
+            )
+        if ck_meta.get("cfg_fp") != cfg_fp:
+            raise RuntimeError(
+                f"checkpoint was taken under a different {kind} config; restoring "
+                f"its state would commit wrong output (delete {root} to start fresh)"
+            )
+        if ck_meta.get("src_fp") != meta["src_fp"]:
+            raise RuntimeError(
+                "checkpoint was taken over a different source (file set/sizes "
+                "changed); the skipped log prefix would not be the data the "
+                "restored state absorbed"
+            )
+        if out_dir is not None:
+            truncate_staged(out_dir, ck_meta["staged_files"])
+            epoch = int(ck_meta["epoch"])
+    sink = _sink_args(out_dir, num_partitions, epoch)
+    resume = _Resume(out_dir, root, {**meta, "epoch": sink["sink_epoch"]})
+    if ck is not None:
+        resume.skip, resume.blobs, resume.wm = skip, blobs, int(ck_meta["wm"])
+    return sink, resume
+
+
+def _by_actor(ids: np.ndarray, n_actors: int) -> list:
+    """A per-row actor id array → one batch's (actor, row indices) plan."""
+    return [(a, np.nonzero(ids == a)[0]) for a in range(n_actors)]
+
+
+def _key_route(col: str, n_actors: int):
+    """Route every row to the actor of the splitmix hash of its int64
+    ``col`` (the key-routed consumers' rule)."""
+    from ..state.dedup_state import _splitmix_route
+
+    return lambda _side, b: _by_actor(
+        _splitmix_route(np.asarray(b[col], np.int64), n_actors), n_actors
+    )
+
+
+def _emitted(result) -> list:
+    """The tables an ``ingest`` or end-of-stream call returned: the result
+    when it is a list, its first item when it is a tuple; a counter carries
+    none."""
+    if isinstance(result, tuple):
+        result = result[0]
+    return result if isinstance(result, list) else []
+
+
+def _interleaved(logs: list, micro_batch_rows: int, on_end):
+    """``(log index, batch)`` in arrival order; several logs are read
+    round-robin one micro-batch at a time, a deterministic interleaving
+    that batch numbering (and so checkpoint skips) relies on.
+    ``on_end(index)`` fires when a log ends."""
+    iters = [_arrival_batches(s, micro_batch_rows) for s in logs]
+    alive = [True] * len(iters)
+    while any(alive):
+        for side, it in enumerate(iters):
+            if not alive[side]:
+                continue
+            try:
+                batch = next(it)
+            except StopIteration:
+                alive[side] = False
+                on_end(side)
+                continue
+            yield side, batch
+
+
+def _drive(
+    logs: list,
+    actors: list,
+    tracker,
+    route,
+    resume: _Resume,
+    shape,
+    *,
+    micro_batch_rows: int,
+    checkpoint_every: int | None = None,
+    stop_after: int | None = None,
+    ts_col: str = "event_ts",
+    prepare=None,
+    end: str | None = "flush",
+) -> StreamingResult:
+    """Run one single-consumer streaming call to its end: the one driver loop.
+
+    Per micro-batch of ``logs`` (round-robin when there are two, the joins'
+    shape; ``prepare(side, batch)`` normalizes a batch first), after the
+    ``resume.skip`` batches the restored state already absorbed:
+
+    - with a ``tracker``, the watermark a batch is judged against excludes
+      the batch itself and is refreshed every 4 batches: one blocking
+      round-trip per batch would serialize ingestion, and correctness only
+      needs a monotone lower bound (staleness delays finalization, never
+      corrupts it);
+    - ``route(side, batch)`` gives the ``(actor, rows)`` plan, and each
+      actor gets its slice as ``ingest([side,] rows[, wm])``: the side with
+      two logs, the watermark with a tracker;
+    - the tracker learns the batch's largest ``ts_col``;
+    - once ``n_actors*4`` ingests are in flight the oldest ``n_actors*2``
+      are awaited, so emitted tables do not pile up as refs;
+    - every ``checkpoint_every`` batches all in-flight ingests are awaited
+      and the actors' state, the driver watermark and (sink mode) the
+      staged-file manifest, or (driver-collect mode) the output emitted so
+      far as an extra blob, are published as one checkpoint;
+    - ``stop_after`` is the test-only crash hook.
+
+    At end of stream: the remaining ingests, one ``end`` call per actor
+    (``flush``, ``drain``, … or None), ``late_rows`` (consumers with a
+    tracker; without one there is no late path), ``state_stats``, then
+    the sink commit (``_finalize_sink``) or ``shape(emitted tables)`` as
+    the output; checkpoints are cleared once the call has succeeded."""
+    import pickle
+
+    from .checkpoint import clear_checkpoints, staged_file_manifest, write_checkpoint
+
+    n_actors = len(actors)
+    two_logs = len(logs) > 1
+    emitted: list = []
+    if resume.blobs is not None:
+        ray.get([a.restore_state.remote(b) for a, b in zip(actors, resume.blobs)])
+        if len(resume.blobs) > n_actors:
+            emitted.extend(pickle.loads(resume.blobs[n_actors]))
+
+    def on_end(side: int) -> None:
+        # a log that ended stops holding the other's watermark back
+        if tracker is not None and two_logs:
+            tracker.close_partition.remote(side)
+
+    pending: list = []
+    wm = resume.wm
+    batch_idx = 0
+    consumed = 0
+    for side, batch in _interleaved(logs, micro_batch_rows, on_end):
+        if consumed < resume.skip:
+            # already absorbed into the restored state — the re-read IS the
+            # lineage; only the tail replays
+            consumed += 1
+            continue
+        if prepare is not None:
+            batch = prepare(side, batch)
+        head = (side,) if two_logs else ()
+        tail = ()
+        if tracker is not None:
+            ts = np.asarray(batch[ts_col], dtype=np.int64)
+            if batch_idx % 4 == 0:
+                wm = max(wm, ray.get(tracker.watermark.remote()))
+            tail = (wm,)
+        batch_idx += 1
+        for a, idx in route(side, batch):
+            if idx.size:
+                pending.append(actors[a].ingest.remote(*head, batch.take(idx), *tail))
+        if tracker is not None:
+            tracker.update.remote(side, int(ts.max()))
+        consumed += 1
+        if len(pending) >= n_actors * 4:
+            done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
+            for r in ray.get(done):
+                emitted.extend(_emitted(r))
+        if (
+            checkpoint_every is not None
+            and consumed > resume.skip
+            and consumed % checkpoint_every == 0
+        ):
+            # barrier: every sent ingest is absorbed before the snapshot
+            for r in ray.get(pending):
+                emitted.extend(_emitted(r))
+            pending = []
+            blobs = ray.get([a.checkpoint_state.remote() for a in actors])
+            meta = {**resume.meta, "wm": wm, "staged_files": {}}
+            if resume.out_dir is not None:
+                meta["staged_files"] = staged_file_manifest(resume.out_dir)
+            else:
+                # the output emitted so far would otherwise die with the driver
+                blobs.append(pickle.dumps(emitted))
+                meta["n_blobs"] = n_actors + 1
+            write_checkpoint(resume.root, consumed, blobs, meta)
+        if stop_after is not None and consumed >= stop_after:
+            raise RuntimeError(f"injected stop after {consumed} batches")
+
+    for r in ray.get(pending):
+        emitted.extend(_emitted(r))
+    if end is not None:
+        for r in ray.get([getattr(a, end).remote() for a in actors]):
+            emitted.extend(_emitted(r))
+    res = _gather(
+        actors, emitted, resume.out_dir, resume.meta.get("epoch", 0), shape,
+        late=tracker is not None,
+    )
+    if resume.root is not None:
+        # checkpoints exist only to shorten crash recovery: once the run
+        # succeeded, a LATER fresh run over this dir must not "resume"
+        clear_checkpoints(resume.root)
+    return res
+
+
 def run_streaming(
     source,
     cfg: EngineConfig = DEFAULT_CONFIG,
@@ -330,204 +648,42 @@ def run_streaming(
     ``_stop_after_batches`` is the test-only crash-injection hook (raises
     after consuming that many batches).
     """
-    from .checkpoint import (
-        clear_checkpoints,
-        latest_checkpoint,
-        staged_file_manifest,
-        truncate_staged,
-        write_checkpoint,
+    import dataclasses
+
+    sink, resume = _resume_or_fresh(
+        "engine", repr(sorted(dataclasses.asdict(cfg).items())), [source],
+        n_actors=n_actors, micro_batch_rows=micro_batch_rows, out_dir=out_dir,
+        num_partitions=num_partitions, checkpoint_every=checkpoint_every,
     )
-
-    if checkpoint_every is not None and out_dir is None:
-        raise ValueError("checkpoint_every requires sink mode (out_dir)")
-
-    # cfg + source fingerprints: restoring actor state under a DIFFERENT
-    # engine config (window kind/size/lateness...) or source would commit
-    # garbage with no error — windows re-key, skip_batches skips the wrong
-    # log prefix.  The source fingerprint covers path sources (file names +
-    # sizes); Dataset sources can't be fingerprinted and record "dataset"
-    # (resume then only guards cfg/routing).
-    import dataclasses as _dc
-
-    cfg_fp = repr(sorted(_dc.asdict(cfg).items()))
-    if isinstance(source, str):
-        import os as _os2
-
-        src_fp = repr(
-            [
-                (_os2.path.basename(p), _os2.path.getsize(p))
-                for p in _resolve_parquet_paths(source)
-            ]
-        )
-    else:
-        src_fp = "dataset"
-
-    resume_ckpt = latest_checkpoint(out_dir) if out_dir is not None else None
-    skip_batches = 0
-    restored_wm = -(1 << 62)
-    if resume_ckpt is not None:
-        skip_batches, ck_meta, ck_blobs = resume_ckpt
-        if int(ck_meta["n_actors"]) != n_actors or int(
-            ck_meta["micro_batch_rows"]
-        ) != micro_batch_rows:
-            raise RuntimeError(
-                "checkpoint was taken with n_actors="
-                f"{ck_meta['n_actors']}/micro_batch_rows="
-                f"{ck_meta['micro_batch_rows']}; resuming with different "
-                "values would desynchronize hash routing / batch numbering"
-            )
-        if ck_meta.get("cfg_fp") != cfg_fp:
-            raise RuntimeError(
-                "checkpoint was taken under a different engine config; "
-                "restoring its window/session state would commit wrong "
-                "output (delete the sink dir to start fresh)"
-            )
-        if ck_meta.get("src_fp") != src_fp:
-            raise RuntimeError(
-                "checkpoint was taken over a different source "
-                "(file set/sizes changed); the skipped log prefix would "
-                "not be the data the restored state absorbed"
-            )
-        # adopt the CHECKPOINTED epoch (a fresh begin_epoch would discard
-        # the pre-checkpoint staged rows at finalize) and truncate the
-        # staged log to the snapshot's manifest: anything the crashed
-        # continuation staged after the checkpoint is re-decided exactly
-        # once by this resumed attempt
-        import os as _os
-
-        from ..sinks.exactly_once import adopt_epoch, committed_partitions, late_dir
-
-        _os.makedirs(out_dir, exist_ok=True)
-        sink_epoch = int(ck_meta["epoch"])
-        adopt_epoch(out_dir, sink_epoch)
-        adopt_epoch(late_dir(out_dir), sink_epoch)
-        truncate_staged(out_dir, ck_meta["staged_files"])
-        sink = {
-            "sink_dir": out_dir,
-            "sink_partitions": _sink_partitions(out_dir, num_partitions),
-            "sink_done": frozenset(committed_partitions(out_dir)),
-            "late_done": frozenset(committed_partitions(late_dir(out_dir))),
-            "sink_epoch": sink_epoch,
-        }
-        restored_wm = int(ck_meta["wm"])
-    else:
-        sink = _sink_args(out_dir, num_partitions)
-    sink_epoch = sink["sink_epoch"]
-
     with _leased_actors(cfg, n_actors, 1, sink) as (actors, tracker, _):
-        if resume_ckpt is not None:
-            ray.get(
-                [a.restore_state.remote(b) for a, b in zip(actors, ck_blobs)]
-            )
-
-        emitted_refs: list = []
-        pending: list = []
-        wm = restored_wm
-        batch_idx = 0
-        consumed = 0
-        for batch in _arrival_batches(source, micro_batch_rows):
-            if consumed < skip_batches:
-                # already absorbed into the restored state — the re-read IS
-                # the lineage; only the tail replays
-                consumed += 1
-                continue
-            ts = np.asarray(batch["event_ts"], dtype=np.int64)
-            # the watermark a batch is judged against excludes the batch
-            # itself (it advances only after the data that generated it is
-            # absorbed).  Refreshed every few batches instead of per batch:
-            # one blocking tracker round-trip per micro-batch serializes
-            # ingestion, and correctness only needs the watermark to be
-            # monotone + a lower bound of the true one (staleness delays
-            # finalization, never corrupts it).
-            if batch_idx % 4 == 0:
-                wm = max(wm, ray.get(tracker.watermark.remote()))
-            batch_idx += 1
-            route = hash_partition_ids(batch["source"].combine_chunks(), n_actors)
-            for a in range(n_actors):
-                idx = np.nonzero(route == a)[0]
-                if idx.size == 0:
-                    continue
-                pending.append(actors[a].ingest.remote(batch.take(idx), wm))
-            tracker.update.remote(0, int(ts.max()))
-            consumed += 1
-            # drain completed ingests so emitted tables don't pile up as refs
-            if len(pending) >= n_actors * 4:
-                done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-                for tables, _ in ray.get(done):
-                    emitted_refs.extend(tables)
-            if (
-                checkpoint_every is not None
-                and consumed > skip_batches
-                and consumed % checkpoint_every == 0
-            ):
-                # barrier: every sent ingest must be absorbed before snapshot
-                for tables, _ in ray.get(pending):
-                    emitted_refs.extend(tables)
-                pending = []
-                blobs = ray.get([a.checkpoint_state.remote() for a in actors])
-                write_checkpoint(
-                    out_dir,
-                    consumed,
-                    blobs,
-                    {
-                        "epoch": sink_epoch,
-                        "wm": wm,
-                        "n_actors": n_actors,
-                        "micro_batch_rows": micro_batch_rows,
-                        "cfg_fp": cfg_fp,
-                        "src_fp": src_fp,
-                        "staged_files": staged_file_manifest(out_dir),
-                    },
-                )
-            if _stop_after_batches is not None and consumed >= _stop_after_batches:
-                raise RuntimeError(f"injected stop after {consumed} batches")
-
-        for tables, _ in ray.get(pending):
-            emitted_refs.extend(tables)
-        for flushed in ray.get([a.flush.remote() for a in actors]):
-            emitted_refs.extend(flushed)
-
-        late_tables = [t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None]
-        stats = ray.get([a.state_stats.remote() for a in actors])
-        late = pa.concat_tables(late_tables) if late_tables else None
-
-        if out_dir is not None:
-            # sink mode: emitted_refs stayed empty — drain actor stage
-            # buffers, then commit per-partition manifests (driver moves
-            # manifests only)
-            res = _finalize_sink(actors, stats, late, out_dir, sink_epoch)
-            # checkpoints exist only to shorten crash recovery: once the run
-            # committed, a LATER fresh run over this dir must not "resume"
-            clear_checkpoints(out_dir)
-            return res
-
-    out = (
-        pa.concat_tables(emitted_refs).sort_by("doc_id")
-        if emitted_refs
-        else None
-    )
-    return StreamingResult(
-        output=out if out is not None else _empty_out(),
-        late=late,
-        n_late=sum(s["n_late"] for s in stats),
-        actor_stats=stats,
-    )
+        return _drive(
+            [source], actors, tracker,
+            lambda _s, b: _by_actor(
+                hash_partition_ids(b["source"].combine_chunks(), n_actors), n_actors
+            ),
+            resume,
+            _inpaint_output,
+            micro_batch_rows=micro_batch_rows, checkpoint_every=checkpoint_every,
+            stop_after=_stop_after_batches,
+        )
 
 
 @ray.remote(max_retries=0)
 def _consume_partition(
     partition_id: int,
     paths: list[str],
-    actors: list,
     tracker,
-    n_actors: int,
     micro_batch_rows: int,
-    source_route: tuple | None = None,
+    send,
+    aggregator=None,
 ) -> dict:
-    """One consumer task per input partition: read its file list in order,
-    route rows to the keyed actors, advance this partition's watermark.
-    Returns per-partition throughput metrics (the north star's
-    per-partition record).
+    """One consumer task per input partition of the partitioned engines:
+    read its file list in order, hand each micro-batch to ``send(batch,
+    wm)`` (the engine's routing and sends; it returns the refs whose acks
+    prove the batch arrived) and advance this partition's watermark.  With
+    the salted engine's ``aggregator``, each watermark refresh also asks it
+    to finalize the windows now due.  Returns per-partition throughput and
+    watermark-lag metrics (one schema for both engines' run_metrics.json).
 
     ``max_retries=0`` (review finding): ingestion is NOT replay-idempotent —
     a silent Ray re-execution of a half-finished consumer would re-send every
@@ -538,22 +694,18 @@ def _consume_partition(
     epoch + committed-partition resume (``_sink_done_sets``) drops the prior
     attempt's staged rows and skips committed partitions."""
     import time
-
-    import pyarrow.parquet as pq_
-
-    from ..sources.parquet import _ensure_event_ts
-
     from collections import deque
 
     t0 = time.perf_counter()
     rows = 0
     max_ts = None
-    # The tracker may only learn a batch's max_ts AFTER its ingest acks:
-    # the watermark contract is "no more rows <= wm will ARRIVE", and
-    # arrival means delivered to the state actor — not merely sent.  A
-    # faster partition's wm would otherwise finalize windows whose rows
-    # from a slower partition are still in the actor's mailbox (the
-    # monotonic actor watermark then correctly — but wrongly — lates them).
+    # The tracker may only learn a batch's max_ts AFTER its acks: the
+    # watermark contract is "no more rows <= wm will ARRIVE", and arrival
+    # means delivered to the state actor (and, salted, merged by the
+    # aggregator) — not merely sent.  A faster partition's wm would
+    # otherwise finalize windows whose rows from a slower partition are
+    # still in the actor's mailbox (the monotonic actor watermark then
+    # correctly — but wrongly — lates them).
     inflight: deque = deque()  # (batch_max_ts, [ack refs]) in send order
 
     def drain(max_depth: int) -> None:
@@ -582,48 +734,30 @@ def _consume_partition(
     # watermark at observation time (the north star's per-partition lag
     # metric) — high lag means this partition runs ahead of the slowest one
     lag_sum, lag_max, lag_n = 0, None, 0
-    for path in paths:
-        pf = pq_.ParquetFile(path)
-        for rb in pf.iter_batches(batch_size=micro_batch_rows):
-            batch = _ensure_event_ts(pa.Table.from_batches([rb]))
-            ts = np.asarray(batch["event_ts"], dtype=np.int64)
-            # cached watermark, refreshed every few batches (monotone lower
-            # bound suffices; staleness only delays finalization)
-            if batch_idx % 4 == 0:
-                wm = max(wm, ray.get(tracker.watermark.remote()))
-                if wm > -(1 << 61):
-                    lag = int(ts.max()) - wm
-                    lag_sum += lag
-                    lag_max = lag if lag_max is None else max(lag_max, lag)
-                    lag_n += 1
-            batch_idx += 1
-            if source_route is not None:
-                # explicit balanced source→actor table (small key
-                # universes; see run_streaming_partitioned docstring)
-                rkeys, rids = source_route
-                sv = np.asarray(
-                    batch["source"].combine_chunks().to_numpy(zero_copy_only=False)
-                )
-                pos = np.clip(np.searchsorted(rkeys, sv), 0, rkeys.size - 1)
-                if not (rkeys[pos] == sv).all():
-                    missing = sorted(set(sv) - set(rkeys))[:5]
-                    raise ValueError(
-                        f"source_map does not cover sources {missing} — "
-                        "explicit routing must cover the whole key universe"
-                    )
-                route = rids[pos]
-            else:
-                route = hash_partition_ids(batch["source"].combine_chunks(), n_actors)
-            refs = []
-            for a in range(n_actors):
-                idx = np.nonzero(route == a)[0]
-                if idx.size:
-                    refs.append(actors[a].ingest_keep.remote(batch.take(idx), wm))
-            mx = int(ts.max())
-            max_ts = mx if max_ts is None else max(max_ts, mx)
-            inflight.append((mx, refs))
-            rows += batch.num_rows
-            drain(max_depth=8)
+    for batch in _arrival_batches(paths, micro_batch_rows):
+        ts = np.asarray(batch["event_ts"], dtype=np.int64)
+        # cached watermark, refreshed every few batches (monotone lower
+        # bound suffices; staleness only delays finalization)
+        if batch_idx % 4 == 0:
+            wm = max(wm, ray.get(tracker.watermark.remote()))
+            if aggregator is not None:
+                # not awaited: finalization timing only delays emission —
+                # every due window's deltas are provably merged once the
+                # ack-gated global wm passed its end; a failure is kept by
+                # the aggregator and raised from final_flush
+                aggregator.maybe_finalize.remote(wm)
+            if wm > -(1 << 61):
+                lag = int(ts.max()) - wm
+                lag_sum += lag
+                lag_max = lag if lag_max is None else max(lag_max, lag)
+                lag_n += 1
+        batch_idx += 1
+        refs = send(batch, wm)
+        mx = int(ts.max())
+        max_ts = mx if max_ts is None else max(max_ts, mx)
+        inflight.append((mx, refs))
+        rows += batch.num_rows
+        drain(max_depth=8)
     drain(max_depth=0)
     ray.get(tracker.close_partition.remote(partition_id))
     dt = time.perf_counter() - t0
@@ -636,6 +770,54 @@ def _consume_partition(
         "wm_lag_max": lag_max,
         "wm_lag_avg": round(lag_sum / lag_n, 1) if lag_n else None,
     }
+
+
+def _send_keyed(actors: list, source_route, batch: pa.Table, wm: int) -> list:
+    """The keyed partitioned engine's per-batch send: each source's rows to
+    its actor (``source_route``: an explicit balanced ``(sources, actor
+    ids)`` table for small key universes, else hash routing)."""
+    if source_route is not None:
+        rkeys, rids = source_route
+        sv = np.asarray(batch["source"].combine_chunks().to_numpy(zero_copy_only=False))
+        pos = np.clip(np.searchsorted(rkeys, sv), 0, rkeys.size - 1)
+        if not (rkeys[pos] == sv).all():
+            missing = sorted(set(sv) - set(rkeys))[:5]
+            raise ValueError(
+                f"source_map does not cover sources {missing} — "
+                "explicit routing must cover the whole key universe"
+            )
+        route = rids[pos]
+    else:
+        route = hash_partition_ids(batch["source"].combine_chunks(), len(actors))
+    return [
+        actors[a].ingest_keep.remote(batch.take(idx), wm)
+        for a, idx in _by_actor(route, len(actors))
+        if idx.size
+    ]
+
+
+def _salted_route(batch: pa.Table, salt_buckets: int, n_actors: int) -> np.ndarray:
+    """Vectorized ``hash(source, salt(doc_id)) % n_actors`` routing: a hot
+    source spreads over up to ``salt_buckets`` actors, with no per-row
+    Python string building on the driver (the salted path exists precisely
+    because the driver must keep up with a hot key)."""
+    salt = hash_partition_ids(batch["doc_id"].combine_chunks(), salt_buckets)
+    src_h = hash_partition_ids(batch["source"].combine_chunks(), 1 << 30)
+    return ((src_h * np.int64(salt_buckets) + salt) * np.int64(1_000_003)) % n_actors
+
+
+def _send_salted(actors: list, aggregator, salt_buckets: int, batch: pa.Table, wm: int) -> list:
+    """The salted multi-consumer engine's per-batch send: salted rows to
+    the actors, their ingest deltas to the aggregator.  The aggregator
+    receives the RESOLVED delta tuples (Ray dereferences top-level
+    ObjectRef args), so its one ack covers buffer + merge — the consumer
+    never blocks on deltas."""
+    refs = [
+        actors[a].ingest_partial.remote(batch.take(idx), wm)
+        for a, idx in _by_actor(_salted_route(batch, salt_buckets, len(actors)), len(actors))
+        if idx.size
+    ]
+    return [aggregator.add.remote(*refs)]
 
 
 def run_streaming_partitioned(
@@ -684,9 +866,7 @@ def run_streaming_partitioned(
     metrics).  As in ``run_streaming``, the actors and tracker are leased
     from the session's warm pool and reset between calls.
     """
-    paths = _resolve_parquet_paths(source) if isinstance(source, str) else list(source)
-    n_partitions = min(n_partitions, max(1, len(paths)))
-    groups = [paths[i::n_partitions] for i in range(n_partitions)]
+    groups = _split_log(source, n_partitions)
     source_route = None
     if source_map is not None:
         skeys = np.array(sorted(source_map), dtype=object)
@@ -702,13 +882,11 @@ def run_streaming_partitioned(
         source_route = (skeys, sids)
 
     sink = _sink_args(out_dir, num_partitions)
-    with _leased_actors(cfg, n_actors, n_partitions, sink) as (actors, tracker, _):
+    with _leased_actors(cfg, n_actors, len(groups), sink) as (actors, tracker, _):
+        send = functools.partial(_send_keyed, actors, source_route)
         consumer_refs = [
-            _consume_partition.remote(
-                i, groups[i], actors, tracker, n_actors, micro_batch_rows,
-                source_route,
-            )
-            for i in range(n_partitions)
+            _consume_partition.remote(i, g, tracker, micro_batch_rows, send)
+            for i, g in enumerate(groups)
         ]
         emitted: list[pa.Table] = []
         if out_dir is None:
@@ -726,30 +904,13 @@ def run_streaming_partitioned(
             emitted.extend(tables)
         for tables in ray.get([a.take_outbox.remote() for a in actors]):
             emitted.extend(tables)
-        late_tables = [t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None]
-        stats = ray.get([a.state_stats.remote() for a in actors])
-        late = pa.concat_tables(late_tables) if late_tables else None
-        if out_dir is not None:
-            # sink mode: flush/outbox stayed empty (emissions were
-            # diverted); the per-partition throughput/wm-lag metrics persist
-            # with the lineage manifests
-            return (
-                _finalize_sink(
-                    actors, stats, late, out_dir, sink["sink_epoch"],
-                    consumer_metrics=metrics,
-                ),
-                metrics,
-            )
-    out = pa.concat_tables(emitted).sort_by("doc_id") if emitted else None
-    return (
-        StreamingResult(
-            output=out if out is not None else _empty_out(),
-            late=late,
-            n_late=sum(s["n_late"] for s in stats),
-            actor_stats=stats,
-        ),
-        metrics,
-    )
+        # the per-partition throughput/wm-lag metrics persist with the
+        # lineage manifests
+        res = _gather(
+            actors, emitted, out_dir, sink["sink_epoch"], _inpaint_output,
+            consumer_metrics=metrics,
+        )
+    return res, metrics
 
 
 
@@ -887,17 +1048,11 @@ def run_streaming_salted(
             ts = np.asarray(batch["event_ts"], dtype=np.int64)
             wm = ray.get(tracker.watermark.remote())
             finalize_due(wm)
-            # vectorized (source, salt) -> actor routing: no per-row Python
-            # string building on the driver (the salted path exists
-            # precisely because the driver must keep up with a hot key)
-            salt = hash_partition_ids(batch["doc_id"].combine_chunks(), salt_buckets)
-            src_h = hash_partition_ids(batch["source"].combine_chunks(), 1 << 30)
-            route = ((src_h * np.int64(salt_buckets) + salt) * np.int64(1_000_003)) % n_actors
-            acks = []
-            for a in range(n_actors):
-                idx = np.nonzero(route == a)[0]
-                if idx.size:
-                    acks.append(actors[a].ingest_partial.remote(batch.take(idx), wm))
+            acks = [
+                actors[a].ingest_partial.remote(batch.take(idx), wm)
+                for a, idx in _by_actor(_salted_route(batch, salt_buckets, n_actors), n_actors)
+                if idx.size
+            ]
             for srcs, wins, Hm, _late_total in ray.get(acks):  # the per-batch barrier
                 coord.merge(srcs, wins, Hm)
             tracker.update.remote(0, int(ts.max()))
@@ -915,18 +1070,7 @@ def run_streaming_salted(
             for tables in ray.get([a.finalize_windows.remote(items) for a in actors]):
                 emitted.extend(tables)
 
-        late_tables = [t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None]
-        stats = ray.get([a.state_stats.remote() for a in actors])
-        late = pa.concat_tables(late_tables) if late_tables else None
-        if out_dir is not None:
-            return _finalize_sink(actors, stats, late, out_dir, sink["sink_epoch"])
-    out = pa.concat_tables(emitted).sort_by("doc_id") if emitted else None
-    return StreamingResult(
-        output=out if out is not None else _empty_out(),
-        late=late,
-        n_late=sum(s["n_late"] for s in stats),
-        actor_stats=stats,
-    )
+        return _gather(actors, emitted, out_dir, sink["sink_epoch"], _inpaint_output)
 
 
 def _run_salted_sessions(
@@ -1003,37 +1147,18 @@ def _run_salted_sessions(
             ts = np.asarray(batch["event_ts"], dtype=np.int64)
             wm = ray.get(tracker.watermark.remote())
             finalize_due(wm)
-            # vectorized (source, salt) -> actor routing: no per-row Python
-            # string building on the driver (the salted path exists
-            # precisely because the driver must keep up with a hot key)
-            salt = hash_partition_ids(batch["doc_id"].combine_chunks(), salt_buckets)
-            src_h = hash_partition_ids(batch["source"].combine_chunks(), 1 << 30)
-            route = ((src_h * np.int64(salt_buckets) + salt) * np.int64(1_000_003)) % n_actors
-            acks = []
-            for a in range(n_actors):
-                idx = np.nonzero(route == a)[0]
-                if idx.size:
-                    acks.append(
-                        actors[a].ingest_session_partial.remote(batch.take(idx), horizons)
-                    )
+            acks = [
+                actors[a].ingest_session_partial.remote(batch.take(idx), horizons)
+                for a, idx in _by_actor(_salted_route(batch, salt_buckets, n_actors), n_actors)
+                if idx.size
+            ]
             for srcs, starts, lasts, Hm, _n_late in ray.get(acks):  # per-batch barrier
                 merge_fragments(srcs, starts, lasts, Hm)
             tracker.update.remote(0, int(ts.max()))
 
         finalize_due(1 << 62)
 
-        late_tables = [t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None]
-        stats = ray.get([a.state_stats.remote() for a in actors])
-        late = pa.concat_tables(late_tables) if late_tables else None
-        if out_dir is not None:
-            return _finalize_sink(actors, stats, late, out_dir, sink["sink_epoch"])
-    out = pa.concat_tables(emitted).sort_by("doc_id") if emitted else None
-    return StreamingResult(
-        output=out if out is not None else _empty_out(),
-        late=late,
-        n_late=sum(s["n_late"] for s in stats),
-        actor_stats=stats,
-    )
+        return _gather(actors, emitted, out_dir, sink["sink_epoch"], _inpaint_output)
 
 
 @ray.remote
@@ -1103,112 +1228,6 @@ class _SaltedAggregator(Resettable):
         return out
 
 
-@ray.remote(max_retries=0)
-def _consume_salted_partition(
-    partition_id: int,
-    paths: list[str],
-    actors: list,
-    aggregator,
-    tracker,
-    n_actors: int,
-    salt_buckets: int,
-    micro_batch_rows: int,
-) -> dict:
-    """One consumer per input partition of the SALTED multi-consumer
-    engine: route rows by ``hash(source, salt(doc_id)) % n_actors`` (a hot
-    source spreads over up to ``salt_buckets`` actors), forward the
-    actors' ingest-delta refs to the aggregator, and advance this
-    partition's watermark only after the aggregator acked (the arrival
-    contract: wm implies rows buffered AND deltas merged).
-    ``max_retries=0`` for the same non-idempotent-ingest reason as
-    ``_consume_partition``; recovery is whole-run replay against the
-    exactly-once sink."""
-    import time
-    from collections import deque
-
-    import pyarrow.parquet as pq_
-
-    from ..sources.parquet import _ensure_event_ts
-
-    t0 = time.perf_counter()
-    rows = 0
-    max_ts = None
-    inflight: deque = deque()  # (batch_max_ts, [aggregator ack ref])
-
-    def drain(max_depth: int) -> None:
-        while inflight:
-            head_mx, head_refs = inflight[0]
-            ready, _ = ray.wait(head_refs, num_returns=len(head_refs), timeout=0)
-            if len(ready) < len(head_refs):
-                break
-            inflight.popleft()
-            # ray.get even though ready (cheap — acks carry ints/None): a
-            # ready-but-ERRORED ack must re-raise here, not advance the
-            # watermark past a batch whose rows were never buffered
-            ray.get(head_refs)
-            tracker.update.remote(partition_id, head_mx)
-        while len(inflight) > max_depth:
-            head_mx, head_refs = inflight.popleft()
-            ray.get(head_refs)
-            tracker.update.remote(partition_id, head_mx)
-
-    wm = -(1 << 62)
-    batch_idx = 0
-    # per-partition watermark lag (the north star's per-partition metric)
-    # — same observation rule as _consume_partition so run_metrics.json
-    # has one consumer schema across the partitioned engines
-    lag_sum, lag_max, lag_n = 0, None, 0
-    for path in paths:
-        pf = pq_.ParquetFile(path)
-        for rb in pf.iter_batches(batch_size=micro_batch_rows):
-            batch = _ensure_event_ts(pa.Table.from_batches([rb]))
-            ts = np.asarray(batch["event_ts"], dtype=np.int64)
-            if batch_idx % 4 == 0:
-                wm = max(wm, ray.get(tracker.watermark.remote()))
-                # not awaited: finalization timing only delays emission —
-                # every due window's deltas are provably merged once the
-                # ack-gated global wm passed its end; a failure is kept by
-                # the aggregator and raised from final_flush
-                aggregator.maybe_finalize.remote(wm)
-                if wm > -(1 << 61):
-                    lag = int(ts.max()) - wm
-                    lag_sum += lag
-                    lag_max = lag if lag_max is None else max(lag_max, lag)
-                    lag_n += 1
-            batch_idx += 1
-            salt = hash_partition_ids(batch["doc_id"].combine_chunks(), salt_buckets)
-            src_h = hash_partition_ids(batch["source"].combine_chunks(), 1 << 30)
-            route = (
-                (src_h * np.int64(salt_buckets) + salt) * np.int64(1_000_003)
-            ) % n_actors
-            refs = []
-            for a in range(n_actors):
-                idx = np.nonzero(route == a)[0]
-                if idx.size:
-                    refs.append(actors[a].ingest_partial.remote(batch.take(idx), wm))
-            # the aggregator receives the RESOLVED delta tuples (Ray
-            # dereferences top-level ObjectRef args), so this single ack
-            # covers buffer + merge — the consumer never blocks on deltas
-            ack = aggregator.add.remote(*refs)
-            mx = int(ts.max())
-            max_ts = mx if max_ts is None else max(max_ts, mx)
-            inflight.append((mx, [ack]))
-            rows += batch.num_rows
-            drain(max_depth=8)
-    drain(max_depth=0)
-    ray.get(tracker.close_partition.remote(partition_id))
-    dt = time.perf_counter() - t0
-    return {
-        "partition_id": partition_id,
-        "rows": rows,
-        "max_event_ts": max_ts,
-        "seconds": round(dt, 3),
-        "rows_per_sec": round(rows / dt, 1) if dt > 0 else 0.0,
-        "wm_lag_max": lag_max,
-        "wm_lag_avg": round(lag_sum / lag_n, 1) if lag_n else None,
-    }
-
-
 def run_streaming_salted_partitioned(
     source: str | list[str],
     cfg: EngineConfig = DEFAULT_CONFIG,
@@ -1247,20 +1266,15 @@ def run_streaming_salted_partitioned(
             "multi-consumer salted streaming supports tumbling/sliding "
             "windows (sessions need the coordinated salted engine)"
         )
-    paths = _resolve_parquet_paths(source) if isinstance(source, str) else list(source)
-    n_partitions = min(n_partitions, max(1, len(paths)))
-    groups = [paths[i::n_partitions] for i in range(n_partitions)]
-
+    groups = _split_log(source, n_partitions)
     sink = _sink_args(out_dir, num_partitions)
-    with _leased_actors(cfg, n_actors, n_partitions, sink, aggregator=True) as (
+    with _leased_actors(cfg, n_actors, len(groups), sink, aggregator=True) as (
         actors, tracker, aggregator,
     ):
+        send = functools.partial(_send_salted, actors, aggregator, salt_buckets)
         consumer_refs = [
-            _consume_salted_partition.remote(
-                i, groups[i], actors, aggregator, tracker,
-                n_actors, salt_buckets, micro_batch_rows,
-            )
-            for i in range(n_partitions)
+            _consume_partition.remote(i, g, tracker, micro_batch_rows, send, aggregator)
+            for i, g in enumerate(groups)
         ]
         emitted: list[pa.Table] = []
         if out_dir is None:
@@ -1273,32 +1287,18 @@ def run_streaming_salted_partitioned(
         metrics = ray.get(consumer_refs)
         ray.get(aggregator.final_flush.remote())
         emitted.extend(ray.get(aggregator.take_outbox.remote()))
-        late_tables = [
-            t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None
-        ]
-        stats = ray.get([a.state_stats.remote() for a in actors])
-        late = pa.concat_tables(late_tables) if late_tables else None
-        if out_dir is not None:
-            return (
-                _finalize_sink(
-                    actors, stats, late, out_dir, sink["sink_epoch"],
-                    consumer_metrics=metrics,
-                ),
-                metrics,
-            )
-    out = pa.concat_tables(emitted).sort_by("doc_id") if emitted else None
-    return (
-        StreamingResult(
-            output=out if out is not None else _empty_out(),
-            late=late,
-            n_late=sum(s["n_late"] for s in stats),
-            actor_stats=stats,
-        ),
-        metrics,
-    )
+        res = _gather(
+            actors, emitted, out_dir, sink["sink_epoch"], _inpaint_output,
+            consumer_metrics=metrics,
+        )
+    return res, metrics
 
 
-def _empty_out() -> pa.Table:
+def _inpaint_output(tables: list) -> pa.Table:
+    """The inpaint engines' driver-collected output: rows sorted by doc_id,
+    or the empty table of their schema."""
+    if tables:
+        return pa.concat_tables(tables).sort_by("doc_id")
     return pa.table(
         {
             "doc_id": pa.array([], pa.string()),

@@ -104,6 +104,11 @@ def session_windows(ds: "ray.data.Dataset", gap_us: int = 30 * 60 * 1_000_000):
     yield ns and over-split sessions 1000×)."""
     from ..functions.packing import _add_group_pk
 
+    # fanout resolved ONCE, driver-side: inside the per-batch closure it
+    # would follow the cluster size at batch time and split a user's rows
+    # over different partition counts under autoscaling
+    n_pk = scaled_parts(64)
+
     def add_pk(b: pa.Table) -> pa.Table:
         t = pa.table(
             {
@@ -111,7 +116,7 @@ def session_windows(ds: "ray.data.Dataset", gap_us: int = 30 * 60 * 1_000_000):
                 "us": pa.array(_epoch_us(b), pa.int64()),
             }
         )
-        return _add_group_pk(t, "user_id")
+        return _add_group_pk(t, "user_id", n_pk)
 
     def part(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:

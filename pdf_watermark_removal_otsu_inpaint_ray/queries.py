@@ -371,8 +371,10 @@ def q_streaming_salted_mc(sf_dir: str):
     # the derived stream once per (sf, content) into chunked files (the
     # tokenize pass runs only on a cache MISS — it dominates the cost)
     st = _os.stat(f"{sf_dir}/documents.parquet")
+    # the cache is read by consumer tasks on every node: root it on shared
+    # storage when PDFWM_RAY_SHARED_TMP names one (local tmp is single-node)
     d = _os.path.join(
-        tempfile.gettempdir(),
+        _os.environ.get("PDFWM_RAY_SHARED_TMP") or tempfile.gettempdir(),
         f"graft_saltmc_{_os.path.basename(_os.path.abspath(sf_dir))}_"
         f"{st.st_size}_{st.st_mtime_ns}",
     )
@@ -1759,9 +1761,10 @@ def q_events_gap_hist(sf_dir: str):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "event_type"],
     ).map_batches(prep, batch_format="pyarrow")
+    n_pk = scaled_parts(64)  # resolved on the driver, not per batch
     return (
         ev.map_batches(
-            lambda b: _add_group_pk(b, "user_id"), batch_format="pyarrow"
+            lambda b: _add_group_pk(b, "user_id", n_pk), batch_format="pyarrow"
         )
         .groupby("pk")
         .map_groups(part, batch_format="pandas")
@@ -5701,6 +5704,7 @@ def q_zipf_slope(sf_dir: str):
 
     from .functions.packing import _add_group_pk
 
+    n_pk = scaled_parts(64)  # resolved on the driver, not per batch
     return (
         _docs_ds(sf_dir)
         .select_columns(["text", "source"])
@@ -5709,7 +5713,7 @@ def q_zipf_slope(sf_dir: str):
         .sum("cnt")
         .map_batches(
             lambda b: _add_group_pk(
-                b.rename_columns(["source", "word", "cnt"]), "source"
+                b.rename_columns(["source", "word", "cnt"]), "source", n_pk
             ),
             batch_format="pyarrow",
         )

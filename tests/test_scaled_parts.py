@@ -39,3 +39,66 @@ def test_uninitialised_ray_falls_back_to_reference_box():
     with mock.patch("ray.is_initialized", return_value=False):
         assert cfg.cluster_cpus() == 32
         assert cfg.scaled_parts(64) == 64
+
+
+class _Recorder:
+    """A stand-in Dataset that records every ``map_batches`` function and
+    returns itself from every other call, so a plan can be built without
+    Ray and its per-batch functions run in this process."""
+
+    def __init__(self):
+        self.fns = []
+
+    def map_batches(self, fn, **_kw):
+        self.fns.append(fn)
+        return self
+
+    def __getattr__(self, _name):
+        return lambda *a, **k: self
+
+
+def test_group_pk_fanout_resolved_on_the_driver():
+    """The group-key fanout of the grouped plans is fixed when the plan is
+    built: a per-batch function that re-resolved it would hash one group
+    into different partition counts once the cluster grows mid-run."""
+    import numpy as np
+    import pyarrow as pa
+
+    from pdf_watermark_removal_otsu_inpaint_ray import queries
+    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.windows import session_windows
+
+    rng = np.random.default_rng(5)
+    users = pa.array(rng.integers(0, 1 << 40, 500), pa.int64())
+    ts = pa.array(rng.integers(0, 1 << 30, 500), pa.int64())
+    words = pa.array([f"w{i}" for i in range(500)])
+
+    def pk_fn(build, **patches):
+        rec = _Recorder()
+        with mock.patch.object(cfg, "cluster_cpus", return_value=32):
+            if "read_parquet" in patches:
+                with mock.patch("ray.data.read_parquet", return_value=rec):
+                    build(rec)
+            elif "docs_ds" in patches:
+                with mock.patch.object(queries, "_docs_ds", return_value=rec):
+                    build(rec)
+            else:
+                build(rec)
+        return rec.fns[-1]
+
+    plans = [
+        (pk_fn(session_windows), pa.table({"user_id": users, "ts": ts})),
+        (
+            pk_fn(lambda _rec: queries.q_events_gap_hist("unused"), read_parquet=True),
+            pa.table({"user_id": users, "ts_us": ts}),
+        ),
+        (
+            pk_fn(lambda _rec: queries.q_zipf_slope("unused"), docs_ds=True),
+            pa.table({"s": users.cast(pa.string()), "w": words, "c": ts}),
+        ),
+    ]
+    for fn, batch in plans:
+        with mock.patch.object(cfg, "cluster_cpus", return_value=32):
+            before = fn(batch)["pk"].to_pylist()
+        with mock.patch.object(cfg, "cluster_cpus", return_value=32 * 64):
+            after = fn(batch)["pk"].to_pylist()
+        assert before == after

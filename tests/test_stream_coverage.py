@@ -137,3 +137,21 @@ def test_streaming_coverage_config_mismatch_rejected(ray_session, tmp_path):
             ray.data.from_arrow(tbl), hold=HOLD, n_actors=3,
             micro_batch_rows=128, ckpt_dir=ck,
         )
+
+
+def test_streaming_coverage_resume_rejects_changed_source(ray_session, tmp_path):
+    """A checkpoint fingerprints its source: resuming over a log whose
+    file changed would skip a prefix the restored state never absorbed."""
+    import pyarrow.parquet as pq
+
+    path = str(tmp_path / "log.parquet")
+    pq.write_table(_stream(seed=13), path)
+    ck = str(tmp_path / "cov_ck3")
+    kw = dict(hold=HOLD, n_actors=2, micro_batch_rows=128, ckpt_dir=ck)
+    with pytest.raises(RuntimeError, match="injected stop"):
+        run_streaming_coverage(
+            path, checkpoint_every=2, _stop_after_batches=5, **kw
+        )
+    pq.write_table(_stream(n=1200, seed=14), path)
+    with pytest.raises(RuntimeError, match="different source"):
+        run_streaming_coverage(path, **kw)

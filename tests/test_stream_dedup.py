@@ -193,3 +193,42 @@ def test_dedup_checkpoint_kill_and_replay(ray_session, tmp_path):
     got = read_output(ck_dir).to_pandas().sort_values("doc_id", ignore_index=True)
     assert got.equals(want)
     assert latest_checkpoint(ck_dir) is None
+
+
+def test_dedup_resume_adopts_pinned_partition_count(ray_session, tmp_path):
+    """A checkpoint resume with no partition count adopts the count pinned
+    in the sink (7 here, not the cluster-scaled default) and commits the
+    same 7-partition layout as an uninterrupted run."""
+    import json
+    import os
+
+    from pdf_watermark_removal_otsu_inpaint_ray.sinks.exactly_once import (
+        committed_partitions,
+        read_output,
+    )
+
+    def layout(d):
+        with open(os.path.join(d, "_manifests", "_layout.json")) as f:
+            return json.load(f)["num_partitions"]
+
+    tbl = _replay_stream(400)
+    path = str(tmp_path / "log.parquet")
+    pq.write_table(tbl, path)
+    kw = dict(horizon=8, allowed_lateness=24, n_actors=2, micro_batch_rows=64)
+
+    clean_dir = str(tmp_path / "clean")
+    run_streaming_dedup(path, out_dir=clean_dir, num_partitions=7, **kw)
+
+    ck_dir = str(tmp_path / "ck")
+    with pytest.raises(RuntimeError, match="injected stop"):
+        run_streaming_dedup(
+            path, out_dir=ck_dir, num_partitions=7, checkpoint_every=3,
+            _stop_after_batches=10, **kw,
+        )
+    assert layout(ck_dir) == 7  # rows were staged before the crash
+    run_streaming_dedup(path, out_dir=ck_dir, checkpoint_every=3, **kw)
+    assert layout(ck_dir) == 7
+    assert committed_partitions(ck_dir) == committed_partitions(clean_dir)
+    got = read_output(ck_dir).to_pandas().sort_values("doc_id", ignore_index=True)
+    want = read_output(clean_dir).to_pandas().sort_values("doc_id", ignore_index=True)
+    assert got.equals(want)

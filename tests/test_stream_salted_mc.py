@@ -171,3 +171,28 @@ def test_salted_mc_sink_replay_idempotent(ray_session, tmp_path):
             for x in b["doc_id"].to_pylist()
         )
         assert got == sorted(full["doc_id"].to_pylist()), attempt
+
+
+def test_salted_mc_query_caches_stream_under_shared_tmp(tmp_path, monkeypatch):
+    """The multi-consumer query's chunked stream cache is read by consumer
+    tasks on any node, so with PDFWM_RAY_SHARED_TMP set it lives under
+    that shared root (the engine run itself is stubbed out here)."""
+    from unittest import mock
+
+    from pdf_watermark_removal_otsu_inpaint_ray import queries
+    from pdf_watermark_removal_otsu_inpaint_ray.pipelines import streaming
+
+    monkeypatch.setenv("PDFWM_RAY_SHARED_TMP", str(tmp_path))
+    seen = []
+
+    def fake_engine(d, *_a, **_k):
+        seen.append(d)
+        return mock.Mock(output=None), []
+
+    with mock.patch.object(queries, "_with_golden"), mock.patch.object(
+        queries, "_rewrite_summary"
+    ), mock.patch.object(streaming, "run_streaming_salted_partitioned", fake_engine):
+        queries.q_streaming_salted_mc(os.environ["GRAFT_ORACLE_SF_DIR"])
+    (d,) = seen
+    assert os.path.dirname(d) == str(tmp_path)
+    assert any(f.endswith(".parquet") for f in os.listdir(d))
