@@ -199,8 +199,7 @@ def main(argv: list[str] | None = None) -> int:
                         "actors, checkpointable), partitioned (one "
                         "consumer per input file-partition, keyed "
                         "actors), salted (parallel consumers + salted "
-                        "actors — the hot-source scale path; "
-                        "tumbling/sliding only)")
+                        "actors — the hot-source scale path)")
     r.add_argument("--checkpoint-every", type=int, default=None,
                    help="streaming topology=single only: snapshot actor "
                         "state every N micro-batches; a rerun resumes "
@@ -280,15 +279,15 @@ def main(argv: list[str] | None = None) -> int:
             sel_tmp = select_rows_file(args.input, parse_rows(args.rows))
             run_input = sel_tmp
         if args.streaming:
+            if args.streaming_topology != "single" and args.checkpoint_every is not None:
+                raise SystemExit(
+                    "--checkpoint-every requires "
+                    "--streaming-topology single (the partitioned "
+                    "topologies recover by whole-run replay)"
+                )
             if args.streaming_topology == "partitioned":
                 from .pipelines.streaming import run_streaming_partitioned
 
-                if args.checkpoint_every is not None:
-                    raise SystemExit(
-                        "--checkpoint-every requires "
-                        "--streaming-topology single (the partitioned "
-                        "topologies recover by whole-run replay)"
-                    )
                 res, _metrics = run_streaming_partitioned(
                     run_input, cfg, out_dir=args.output,
                     num_partitions=args.partitions,
@@ -298,12 +297,6 @@ def main(argv: list[str] | None = None) -> int:
                     run_streaming_salted_partitioned,
                 )
 
-                if args.checkpoint_every is not None:
-                    raise SystemExit(
-                        "--checkpoint-every requires "
-                        "--streaming-topology single (the partitioned "
-                        "topologies recover by whole-run replay)"
-                    )
                 res, _metrics = run_streaming_salted_partitioned(
                     run_input, cfg, out_dir=args.output,
                     num_partitions=args.partitions,

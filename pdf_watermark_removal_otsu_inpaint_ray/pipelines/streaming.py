@@ -264,7 +264,7 @@ def _finalize_sink(
 
     ray.get([a.sink_flush.remote() for a in actors])
     report = finalize_staged(out_dir, epoch=epoch)
-    # the late layout always exists in sink mode (_sink_done_sets adopts the
+    # the late layout always exists in sink mode (_sink_args adopts the
     # epoch into it at run start), so finalize it unconditionally — with zero
     # late rows this commits nothing and returns an empty report
     lrep = finalize_staged(late_dir(out_dir), epoch=epoch)
@@ -691,7 +691,7 @@ def _consume_partition(
     double-placing already-finalized rows into the late layout in sink mode.
     Mid-stream consumer loss must fail the run loudly; the recovery path is
     the documented one — rerun with the same ``out_dir``, where the sink's
-    epoch + committed-partition resume (``_sink_done_sets``) drops the prior
+    epoch + committed-partition resume (``_sink_args``) drops the prior
     attempt's staged rows and skips committed partitions."""
     import time
     from collections import deque
@@ -799,8 +799,8 @@ def _send_keyed(actors: list, source_route, batch: pa.Table, wm: int) -> list:
 def _salted_route(batch: pa.Table, salt_buckets: int, n_actors: int) -> np.ndarray:
     """Vectorized ``hash(source, salt(doc_id)) % n_actors`` routing: a hot
     source spreads over up to ``salt_buckets`` actors, with no per-row
-    Python string building on the driver (the salted path exists precisely
-    because the driver must keep up with a hot key)."""
+    Python string building in the consumer (the salted path exists
+    precisely because consumers must keep up with a hot key)."""
     salt = hash_partition_ids(batch["doc_id"].combine_chunks(), salt_buckets)
     src_h = hash_partition_ids(batch["source"].combine_chunks(), 1 << 30)
     return ((src_h * np.int64(salt_buckets) + salt) * np.int64(1_000_003)) % n_actors
@@ -848,7 +848,7 @@ def run_streaming_partitioned(
     by WHOLE-RUN replay against the exactly-once sink (kill-and-replay
     byte-equal, tested) — a fine-grained state checkpoint here would need
     a consistent cut across concurrently-ingesting consumers (a
-    Chandy-Lamport barrier through the actor pool); the coordinated
+    Chandy-Lamport barrier through the actor pool); the
     single-consumer engine (`run_streaming(checkpoint_every=…)`) is the
     variant that offers tail-only checkpoint resume.
 
@@ -913,266 +913,21 @@ def run_streaming_partitioned(
     return res, metrics
 
 
-
-class _SaltedCoordinator:
-    """ONE definition of the salted engines' global detection state —
-    per-(source, window) histogram merge with the detection-epoch horizon
-    guard, the sticky first-detecting-window map, and the leftover-token
-    rule.  Used inline by the coordinated ``run_streaming_salted`` driver
-    loop and wrapped by the multi-consumer ``_SaltedAggregator`` actor:
-    two engines, one coordinator, so a fix to either invariant (horizon
-    guard, sticky ``w >= first_window`` rule) cannot desynchronize them."""
-
-    def __init__(self, cfg: EngineConfig):
-        self.cfg = cfg
-        self.hists: dict[tuple[str, int], np.ndarray] = {}
-        self.sticky: dict[str, tuple[int, int]] = {}
-        self.horizon = -(1 << 62)
-
-    def merge(self, srcs, wins, Hm) -> None:
-        """Merge one ingest's associative histogram deltas.  A straggler
-        contribution to an already-finalized window is dropped: its
-        detection epoch has passed, and a recreated partial could later
-        pin a garbage sticky token."""
-        from ..state.keyed_state import _window_end
-
-        for i in range(len(srcs)):
-            key = (srcs[i], int(wins[i]))
-            if _window_end(key[1], self.cfg) <= self.horizon:
-                continue
-            if key in self.hists:
-                self.hists[key] += Hm[i]
-            else:
-                self.hists[key] = Hm[i].copy()
-
-    def due_items(self, watermark: int) -> list[tuple[str, int, int]]:
-        """Detect + evict every window due at ``watermark`` → the
-        (source, window, wm_token) items to fan out to the state actors.
-        Advances the horizon even when nothing is due."""
-        from ..golden import detect_wm_token
-        from ..state.keyed_state import _window_end
-
-        cfg = self.cfg
-        due = sorted(
-            k for k in self.hists if _window_end(k[1], cfg) <= watermark
-        )
-        self.horizon = max(self.horizon, watermark)
-        items: list[tuple[str, int, int]] = []
-        for s, w in due:
-            st = self.sticky.get(s) if cfg.detection_mode == "sticky" else None
-            if cfg.fixed_wm_token >= 0:  # user override skips detection (M15)
-                wm_tok = cfg.fixed_wm_token
-            elif st is not None and w >= st[1]:
-                wm_tok = st[0]
-            else:
-                wm_tok, _ = detect_wm_token(self.hists[(s, w)], cfg)
-                if cfg.detection_mode == "sticky" and wm_tok >= 0 and st is None:
-                    self.sticky[s] = (int(wm_tok), w)
-            items.append((s, w, int(wm_tok)))
-            del self.hists[(s, w)]
-        return items
-
-    def leftover_items(self, left) -> list[tuple[str, int, int]]:
-        """Items for keys still buffered in actors with NO histogram (all
-        contributions horizon-dropped): sticky applies only FROM the first
-        detecting window onward; otherwise these keys' own detection is
-        -1 (emit unrewritten — failed-detection semantics)."""
-        cfg = self.cfg
-        fixed = cfg.fixed_wm_token if cfg.fixed_wm_token >= 0 else None
-
-        def tok(s: str, w: int) -> int:
-            if fixed is not None:
-                return fixed
-            st = self.sticky.get(s)
-            return st[0] if st is not None and w >= st[1] else -1
-
-        return [(s, w, tok(s, w)) for s, w in left]
-
-
-def run_streaming_salted(
-    source,
-    cfg: EngineConfig = DEFAULT_CONFIG,
-    *,
-    n_actors: int = 4,
-    salt_buckets: int = 4,
-    micro_batch_rows: int = 512,
-    out_dir: str | None = None,
-    num_partitions: int | None = None,
-) -> StreamingResult:
-    """Coordinated streaming with hot-key salting (SURVEY §4.2).
-
-    Rows route to ``hash(source, salt(doc_id)) % n_actors`` — a hot source
-    spreads across up to ``salt_buckets`` actors.  Because no single actor
-    then sees a whole (source, window), actors only buffer rows and return
-    per-batch histogram DELTAS; the driver (which barriers each micro-batch
-    anyway) merges the associative deltas into the global per-key histogram,
-    runs the Otsu detection (windowed or sticky), and broadcasts the agreed
-    wm tokens back via ``finalize_windows``.  Tumbling/sliding only —
-    session gap-merge needs all of a source's rows on one actor.
-
-    ``out_dir``: optional exactly-once sink — rewritten rows stage from
-    each actor straight into the sink layout (the finalize_windows acks
-    carry no token data), late rows into ``<out_dir>/_late``; the driver
-    commits manifests at end of stream.  As in ``run_streaming``, the
-    actors and tracker are leased from the session's warm pool and reset
-    between calls.
-    """
-    if cfg.window_kind == "session":
-        return _run_salted_sessions(
-            source, cfg, n_actors=n_actors, salt_buckets=salt_buckets,
-            micro_batch_rows=micro_batch_rows, out_dir=out_dir,
-            num_partitions=num_partitions,
-        )
-    if cfg.window_kind not in ("tumbling", "sliding"):
-        raise ValueError("salted streaming supports tumbling/sliding/session windows")
-    sink = _sink_args(out_dir, num_partitions)
-
-    # ONE coordinator definition shared with the multi-consumer engine
-    # (_SaltedCoordinator holds the hist merge, the sticky map — source →
-    # (token, FIRST detecting window); sticky never rewrites a window
-    # earlier than the first detecting one, same guard as
-    # keyed_state._emit_window / golden.apply_sticky — and the horizon)
-    coord = _SaltedCoordinator(cfg)
-    emitted: list[pa.Table] = []
-
-    with _leased_actors(cfg, n_actors, 1, sink) as (actors, tracker, _):
-
-        def finalize_due(watermark: int) -> None:
-            items = coord.due_items(watermark)
-            if not items:
-                return
-            for tables in ray.get([a.finalize_windows.remote(items) for a in actors]):
-                emitted.extend(tables)
-
-        for batch in _arrival_batches(source, micro_batch_rows):
-            ts = np.asarray(batch["event_ts"], dtype=np.int64)
-            wm = ray.get(tracker.watermark.remote())
-            finalize_due(wm)
-            acks = [
-                actors[a].ingest_partial.remote(batch.take(idx), wm)
-                for a, idx in _by_actor(_salted_route(batch, salt_buckets, n_actors), n_actors)
-                if idx.size
-            ]
-            for srcs, wins, Hm, _late_total in ray.get(acks):  # the per-batch barrier
-                coord.merge(srcs, wins, Hm)
-            tracker.update.remote(0, int(ts.max()))
-
-        # one final pass finalizes everything in ascending window order per
-        # source (an intermediate real-watermark pass would emit an
-        # identical prefix — pure dead work)
-        finalize_due(1 << 62)
-        # anything still buffered (no hist because its contributions were
-        # all in late-dropped rows) — flush defensively
-        leftovers = ray.get([a.buffered_keys.remote() for a in actors])
-        left = sorted({k for ks in leftovers for k in map(tuple, ks)})
-        if left:
-            items = coord.leftover_items(left)
-            for tables in ray.get([a.finalize_windows.remote(items) for a in actors]):
-                emitted.extend(tables)
-
-        return _gather(actors, emitted, out_dir, sink["sink_epoch"], _inpaint_output)
-
-
-def _run_salted_sessions(
-    source,
-    cfg: EngineConfig,
-    *,
-    n_actors: int,
-    salt_buckets: int,
-    micro_batch_rows: int,
-    out_dir: str | None,
-    num_partitions: int | None,
-) -> StreamingResult:
-    """Coordinated session windows under hot-key salting (SURVEY §4.2).
-
-    No single actor sees all of a salted source's rows, so actors only
-    buffer rows and return per-batch session FRAGMENTS (source, start,
-    last, hist); session boundaries are associative interval data (the gap
-    relation is transitive), so the driver gap-merges fragments globally —
-    exactly like the histogram deltas of the windowed salted path — decides
-    closure against the watermark, detects per closed session, and
-    broadcasts (source, lo, hi, wm_token) items back for rewrite + evict.
-    Late rows are judged against the driver's per-source closed horizon
-    (same rule as the unsalted session path)."""
-    from ..golden import detect_wm_token
-
-    sink = _sink_args(out_dir, num_partitions)
-    sessions: dict[str, list[dict]] = {}  # src -> sorted [{start, last, hist}]
-    horizons: dict[str, int] = {}
-    emitted: list[pa.Table] = []
-
-    def merge_fragments(srcs, starts, lasts, Hm) -> None:
-        # same interval merge as the actor-local session state — ONE
-        # definition of the gap boundary rule (keyed_state.merge_session_intervals)
-        from ..state.keyed_state import merge_session_intervals
-
-        for i in range(len(srcs)):
-            s = srcs[i]
-            frags = sessions.get(s, [])
-            frags.append({"start": int(starts[i]), "last": int(lasts[i]), "hist": Hm[i].copy()})
-            sessions[s] = merge_session_intervals(frags, cfg.session_gap)
-
-    sticky: dict[str, int] = {}
-
-    with _leased_actors(cfg, n_actors, 1, sink) as (actors, tracker, _):
-
-        def finalize_due(watermark: int) -> None:
-            items: list[tuple[str, int, int, int]] = []
-            for s in sorted(sessions):
-                keep = []
-                for ses in sessions[s]:  # ascending start per source (merge invariant)
-                    if ses["last"] + cfg.session_gap <= watermark:
-                        if cfg.fixed_wm_token >= 0:  # user override skips detection
-                            wm_tok = cfg.fixed_wm_token
-                        elif cfg.detection_mode == "sticky" and s in sticky:
-                            wm_tok = sticky[s]
-                        else:
-                            wm_tok, _cov = detect_wm_token(ses["hist"], cfg)
-                            if cfg.detection_mode == "sticky" and wm_tok >= 0:
-                                sticky[s] = int(wm_tok)
-                        items.append((s, ses["start"], ses["last"], int(wm_tok)))
-                        horizons[s] = max(
-                            horizons.get(s, -(1 << 62)), ses["last"] + cfg.session_gap
-                        )
-                    else:
-                        keep.append(ses)
-                sessions[s] = keep
-            if items:
-                for tables in ray.get(
-                    [a.finalize_sessions_salted.remote(items) for a in actors]
-                ):
-                    emitted.extend(tables)
-
-        for batch in _arrival_batches(source, micro_batch_rows):
-            ts = np.asarray(batch["event_ts"], dtype=np.int64)
-            wm = ray.get(tracker.watermark.remote())
-            finalize_due(wm)
-            acks = [
-                actors[a].ingest_session_partial.remote(batch.take(idx), horizons)
-                for a, idx in _by_actor(_salted_route(batch, salt_buckets, n_actors), n_actors)
-                if idx.size
-            ]
-            for srcs, starts, lasts, Hm, _n_late in ray.get(acks):  # per-batch barrier
-                merge_fragments(srcs, starts, lasts, Hm)
-            tracker.update.remote(0, int(ts.max()))
-
-        finalize_due(1 << 62)
-
-        return _gather(actors, emitted, out_dir, sink["sink_epoch"], _inpaint_output)
-
-
 @ray.remote
 class _SaltedAggregator(Resettable):
-    """Global detection state of the MULTI-CONSUMER salted engine — the
-    coordinated salted path's driver role moved into an actor so consumers
-    scale.  Holds the per-(source, window) histogram merge, the sticky
-    map, the detection-epoch horizon, and (driver-collect mode) the
+    """Global detection state of the salted engine, in an actor so that
+    its consumers scale.  Windowed kinds: the per-(source, window)
+    histogram merge with the detection-epoch horizon guard.  Session
+    kind: the per-source open sessions, gap-merged from the actors'
+    micro-session fragments with ``merge_session_intervals``.  Both keep
+    the sticky first-detecting-window map and (driver-collect mode) the
     emitted-output outbox.  Consumers forward their ingest deltas here
     (Ray resolves the actors' ``ingest_partial`` ObjectRefs before
     invoking ``add``, so the rows are provably buffered before their
-    deltas merge); finalization fans ``finalize_windows`` back out to the
-    state actors.  Single-actor serialization of ``add`` makes the
-    horizon guard race-free, exactly like the driver loop it replaces.
+    deltas merge); finalization fans ``finalize_windows`` or
+    ``finalize_sessions_salted`` back out to the state actors.
+    Single-actor serialization of ``add`` makes the horizon guard
+    race-free.
 
     Consumers send ``maybe_finalize`` without waiting for it, so a failed
     finalize is recorded (the first one) and re-raised by ``final_flush``:
@@ -1180,20 +935,91 @@ class _SaltedAggregator(Resettable):
     re-emit them through the leftover path with wrong tokens."""
 
     def __init__(self, cfg: EngineConfig, actors: list):
-        self.coord = _SaltedCoordinator(cfg)
+        self.cfg = cfg
         self.actors = actors
+        self.hists: dict[tuple[str, int], np.ndarray] = {}
+        self.sessions: dict[str, list[dict]] = {}  # source -> open sessions
+        # source -> (token, FIRST detecting window or session start): sticky
+        # never rewrites a window earlier than the first detecting one, the
+        # guard of keyed_state._emit_window and golden.apply_sticky
+        self.sticky: dict[str, tuple[int, int]] = {}
+        self.horizon = -(1 << 62)
         self.outbox: list[pa.Table] = []
         self.error: tuple[int, BaseException] | None = None
 
     def add(self, *delta_results) -> None:
-        for srcs, wins, Hm, _n_late in delta_results:
-            self.coord.merge(srcs, wins, Hm)
+        """Merge the actors' ``ingest_partial`` deltas.  A straggler
+        contribution to an already-finalized window is dropped: its
+        detection epoch has passed, and a recreated partial could later
+        pin a garbage sticky token."""
+        from ..state.keyed_state import _window_end, merge_session_intervals
+
+        cfg = self.cfg
+        for srcs, keys, Hm, _n_late in delta_results:
+            if cfg.window_kind == "session":
+                for s, (start, last), h in zip(srcs, keys, Hm):
+                    self.sessions.setdefault(s, []).append(
+                        {"start": start, "last": last, "hist": h.copy()}
+                    )
+                for s in set(srcs):
+                    self.sessions[s] = merge_session_intervals(self.sessions[s], cfg.session_gap)
+                continue
+            for s, w, h in zip(srcs, keys, Hm):
+                if _window_end(w, cfg) <= self.horizon:
+                    continue
+                if (s, w) in self.hists:
+                    self.hists[(s, w)] += h
+                else:
+                    self.hists[(s, w)] = h.copy()
+
+    def _token(self, s: str, w: int, hist: np.ndarray | None) -> int:
+        """The wm token of source ``s``'s window (or session start) ``w``:
+        the fixed override, the sticky token from its first detecting
+        window onward, else ``hist``'s own detection (-1 without one)."""
+        from ..golden import detect_wm_token
+
+        cfg = self.cfg
+        if cfg.fixed_wm_token >= 0:  # user override skips detection (M15)
+            return cfg.fixed_wm_token
+        st = self.sticky.get(s) if cfg.detection_mode == "sticky" else None
+        if st is not None and w >= st[1]:
+            return st[0]
+        if hist is None:
+            return -1
+        wm_tok, _ = detect_wm_token(hist, cfg)
+        if cfg.detection_mode == "sticky" and wm_tok >= 0 and st is None:
+            self.sticky[s] = (int(wm_tok), w)
+        return int(wm_tok)
+
+    def _due(self, watermark: int) -> list[tuple]:
+        """Detect + evict everything due at ``watermark``, in ascending
+        window (session start) order per source: ``(source, window,
+        wm_token)`` items, or ``(source, lo, hi, wm_token)`` for every
+        session with ``last + session_gap <= watermark``.  Advances the
+        horizon even when nothing is due."""
+        from ..state.keyed_state import _window_end
+
+        cfg = self.cfg
+        self.horizon = max(self.horizon, watermark)
+        if cfg.window_kind != "session":
+            due = sorted(k for k in self.hists if _window_end(k[1], cfg) <= watermark)
+            return [(s, w, self._token(s, w, self.hists.pop((s, w)))) for s, w in due]
+        items, still_open = [], {}  # a source whose sessions all closed is dropped
+        for s in sorted(self.sessions):
+            for ses in self.sessions[s]:  # ascending start (merge invariant)
+                if ses["last"] + cfg.session_gap <= watermark:
+                    tok = self._token(s, ses["start"], ses["hist"])
+                    items.append((s, ses["start"], ses["last"], tok))
+                else:
+                    still_open.setdefault(s, []).append(ses)
+        self.sessions = still_open
+        return items
 
     def maybe_finalize(self, watermark: int) -> None:
         if self.error is not None:
             return  # the call fails at final_flush; finalize nothing more
         try:
-            self._fan_out(self.coord.due_items(int(watermark)))
+            self._fan_out(self._due(int(watermark)))
         except Exception as e:  # noqa: BLE001 — re-raised by final_flush
             self.error = (int(watermark), e)
 
@@ -1203,24 +1029,27 @@ class _SaltedAggregator(Resettable):
         # aggregator → state-actor fan-out (no call cycle: state actors
         # never call back); sink mode diverts, so the returned lists are
         # empty there and the outbox only grows in driver-collect mode
-        for tables in ray.get(
-            [a.finalize_windows.remote(items) for a in self.actors]
-        ):
+        session = self.cfg.window_kind == "session"
+        for tables in ray.get([
+            (a.finalize_sessions_salted if session else a.finalize_windows).remote(items)
+            for a in self.actors
+        ]):
             self.outbox.extend(tables)
 
     def final_flush(self) -> None:
-        """End of stream: finalize every held histogram, then the
-        leftover-buffer path (keys whose contributions were all dropped by
-        the horizon guard — same rule as the coordinated salted engine).
-        Raises the first error a ``maybe_finalize`` recorded."""
+        """End of stream: finalize everything still held, then the
+        leftover-buffer path: windows buffered in actors with NO histogram
+        (all their contributions dropped by the horizon guard) emit with
+        the fixed or sticky token, else unrewritten (-1, failed-detection
+        semantics).  Raises the first error a ``maybe_finalize``
+        recorded."""
         if self.error is not None:
             wm, e = self.error
             raise RuntimeError(f"salted aggregator: finalize at watermark {wm} failed") from e
-        self._fan_out(self.coord.due_items(1 << 62))
+        self._fan_out(self._due(1 << 62))
         leftovers = ray.get([a.buffered_keys.remote() for a in self.actors])
         left = sorted({k for ks in leftovers for k in map(tuple, ks)})
-        if left:
-            self._fan_out(self.coord.leftover_items(left))
+        self._fan_out([(s, w, self._token(s, w, None)) for s, w in left])
 
     def take_outbox(self) -> list[pa.Table]:
         out = self.outbox
@@ -1243,11 +1072,11 @@ def run_streaming_salted_partitioned(
     hot-source ceiling.  The keyed engines bind each source to one actor
     (order-dependent state), so a source carrying p of the stream caps
     speedup at 1/p (measured: the 21%-head zipf stream flatlines at ~5
-    actors).  Here detection state is the ASSOCIATIVE histogram form of
-    the coordinated salted engine, so a hot source spreads across
-    ``salt_buckets`` actors — but unlike that engine (driver barriers
-    every micro-batch: measured ~26k rows/s at 32 cpus), consumers run in
-    parallel and the driver role lives in a ``_SaltedAggregator`` actor.
+    actors).  Here detection state is ASSOCIATIVE — histogram partials
+    per (source, window), or micro-session fragments that gap-merge — so
+    a hot source spreads across ``salt_buckets`` actors while consumers
+    run in parallel and a ``_SaltedAggregator`` actor merges the deltas
+    and decides every window's token.
 
     Ordering/arrival contract (same proof shape as the keyed partitioned
     engine, one hop longer): a consumer advances its partition watermark
@@ -1255,17 +1084,12 @@ def run_streaming_salted_partitioned(
     ingest deltas, so when the MIN watermark passes a window's end +
     lateness, every one of its rows is buffered in some actor and every
     histogram delta is merged — finalization is then safe anywhere in
-    time.  Tumbling/sliding, windowed or sticky detection; sessions need
-    the coordinated form (fragment gap-merge).  Recovery: whole-run
+    time.  Every window kind (tumbling, sliding, session, global), with
+    windowed, sticky or fixed-token detection.  Recovery: whole-run
     replay against the exactly-once sink (sink layouts dedup by epoch),
     as for ``run_streaming_partitioned``.  The state actors, the tracker
     and the aggregator are leased from the session's warm pool and reset
     between calls, as in ``run_streaming``."""
-    if cfg.window_kind not in ("tumbling", "sliding"):
-        raise ValueError(
-            "multi-consumer salted streaming supports tumbling/sliding "
-            "windows (sessions need the coordinated salted engine)"
-        )
     groups = _split_log(source, n_partitions)
     sink = _sink_args(out_dir, num_partitions)
     with _leased_actors(cfg, n_actors, len(groups), sink, aggregator=True) as (

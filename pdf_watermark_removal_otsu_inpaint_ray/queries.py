@@ -58,10 +58,12 @@ def _docs_ds(sf_dir: str):
     )
 
 
-def _events_ds(sf_dir: str):
+def _events_ds(sf_dir: str, columns: list[str]):
+    """The events table, reading only ``columns`` (never the wide ``props``
+    JSON no event query uses)."""
     import ray.data
 
-    return ray.data.read_parquet(f"{sf_dir}/events.parquet")
+    return ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=columns)
 
 
 # ---------------------------------------------------------------------------
@@ -666,13 +668,13 @@ def q_motif_doc_join(sf_dir: str):
 def q_tumbling_counts(sf_dir: str):
     from .pipelines.windows import tumbling_counts
 
-    return tumbling_counts(_events_ds(sf_dir))
+    return tumbling_counts(_events_ds(sf_dir, ["ts", "event_type", "value"]))
 
 
 def q_sliding_counts(sf_dir: str):
     from .pipelines.windows import sliding_counts
 
-    return sliding_counts(_events_ds(sf_dir))
+    return sliding_counts(_events_ds(sf_dir, ["ts", "event_type"]))
 
 
 def q_window_top_users(sf_dir: str):
@@ -683,19 +685,21 @@ def q_window_top_users(sf_dir: str):
     grouped count."""
     from .pipelines.windows import window_top_users
 
-    return window_top_users(_events_ds(sf_dir))
+    return window_top_users(_events_ds(sf_dir, ["ts", "event_type", "user_id"]))
 
 
 def q_session_windows(sf_dir: str):
     from .pipelines.windows import session_windows
 
-    return session_windows(_events_ds(sf_dir))
+    return session_windows(_events_ds(sf_dir, ["ts", "user_id"]))
 
 
 def q_events_customer_join(sf_dir: str):
     from .pipelines.windows import events_customer_join
 
-    return events_customer_join(_events_ds(sf_dir), f"{sf_dir}/customer.parquet")
+    return events_customer_join(
+        _events_ds(sf_dir, ["event_id", "user_id"]), f"{sf_dir}/customer.parquet"
+    )
 
 
 def q_events_bloom_semi(sf_dir: str):
@@ -1186,7 +1190,7 @@ def q_tumbling_distinct_users(sf_dir: str):
     (pipelines/windows.py::tumbling_distinct_users)."""
     from .pipelines.windows import tumbling_distinct_users
 
-    return tumbling_distinct_users(_events_ds(sf_dir))
+    return tumbling_distinct_users(_events_ds(sf_dir, ["ts", "event_type", "user_id"]))
 
 
 def q_decontaminate(sf_dir: str):
@@ -1924,7 +1928,9 @@ def q_events_lag_delta(sf_dir: str):
         )
 
     lagged = grouped_lag(
-        _events_ds(sf_dir).map_batches(prep, batch_format="pyarrow"),
+        _events_ds(sf_dir, ["user_id", "ts", "event_id"]).map_batches(
+            prep, batch_format="pyarrow"
+        ),
         group="user_id",
         order="ts_us",
         tiebreak="event_id",
@@ -5448,7 +5454,9 @@ def q_events_twap(sf_dir: str):
         )
 
     return grouped_time_weighted(
-        _events_ds(sf_dir).map_batches(prep, batch_format="pyarrow"),
+        _events_ds(sf_dir, ["user_id", "ts", "event_id", "value"]).map_batches(
+            prep, batch_format="pyarrow"
+        ),
         group="user_id",
         order="ts_us",
         tiebreak="event_id",
@@ -5517,7 +5525,9 @@ def q_events_transitions(sf_dir: str):
         )
 
     return transition_counts(
-        _events_ds(sf_dir).map_batches(prep, batch_format="pyarrow"),
+        _events_ds(sf_dir, ["user_id", "ts", "event_id", "event_type"]).map_batches(
+            prep, batch_format="pyarrow"
+        ),
         group="user_id",
         order="ts_us",
         tiebreak="event_id",

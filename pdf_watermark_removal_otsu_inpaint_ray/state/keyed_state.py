@@ -40,11 +40,11 @@ from . import Resettable
 def merge_session_intervals(frags: list[dict], gap: int) -> list[dict]:
     """Sort-by-start interval merge under the transitive session-gap
     relation ``next.start <= cur.last + gap`` — the ONE definition of
-    session equivalence.  Actor-local session state, the salted driver's
-    fragment merge, and the finalize closure test all route through this
-    boundary rule; keeping a single copy means it can never desynchronize.
-    Merges ``hist`` additively and extends ``tables`` when both sides
-    carry them.  Mutates and returns the merged list."""
+    session equivalence.  Actor-local session state and the salted
+    aggregator's fragment merge both route through this boundary rule;
+    keeping a single copy means it can never desynchronize.  Merges
+    ``hist`` additively and extends ``tables`` when both sides carry them.
+    Mutates and returns the merged list."""
     frags.sort(key=lambda x: x["start"])
     out = [frags[0]]
     for ses in frags[1:]:
@@ -236,8 +236,8 @@ class KeyedStateActor(Resettable):
 
         # late routing: governing window already finalized (the monotonic
         # watermark implies every finalized window has end <= watermark, but
-        # consult self.finalized too so a window finalized by an external
-        # coordinator can never re-open)
+        # consult self.finalized too so a window finalized by the salted
+        # aggregator can never re-open)
         win_end = self._window_ends_vec(govern)
         late = win_end <= watermark
         late |= self._finalized_mask(src, govern)
@@ -296,7 +296,7 @@ class KeyedStateActor(Resettable):
         """(source, window, hist) partials for one contributing shift —
         vectorized unique-combo bucketing, shared by :meth:`_accumulate`
         (which stores into actor state) and :meth:`ingest_partial` (which
-        returns the deltas to the coordinating driver)."""
+        returns the deltas for the salted aggregator)."""
         v = np.nonzero(valid)[0]
         if v.size == 0:
             return []
@@ -554,20 +554,27 @@ class KeyedStateActor(Resettable):
             }
         )
 
-    # -- coordinated (salted) protocol -----------------------------------
+    # -- salted protocol (multi-consumer salted engine) -------------------
     #
     # When a hot source is salted across actors, no single actor sees the
-    # whole (source, window) histogram.  In coordinated mode the actor only
-    # BUFFERS rows and returns its per-batch histogram *deltas*; the driver
-    # (which already barriers each micro-batch) merges the associative
-    # deltas globally, runs detection, and calls finalize_windows with the
-    # agreed wm tokens.  This is the salt-and-merge design of SURVEY §4.2.
+    # whole (source, window) histogram or all of a source's session rows.
+    # The actor then only BUFFERS rows and returns its per-batch deltas:
+    # histogram partials per (source, window), or micro-session fragments
+    # (source, start, last, hist) — session boundaries are associative
+    # interval data too, since the gap relation is transitive.  The
+    # engine's ``_SaltedAggregator`` merges the deltas globally, runs
+    # detection, and fans the agreed wm tokens back out through
+    # ``finalize_windows`` / ``finalize_sessions_salted``.  This is the
+    # salt-and-merge design of SURVEY §4.2.
 
     def ingest_partial(self, batch: pa.Table, watermark: int):
-        """Coordinated-mode ingest: buffer + return hist deltas, no local
-        finalize.  Returns (sources, windows, hist_matrix, n_late)."""
+        """Salted ingest: buffer + return deltas, no local finalize.
+        Returns (sources, keys, hist_matrix, n_late): keys are windows, or
+        (start, last) spans in the session kind."""
         cfg = self.cfg
         watermark = self._clamp_wm(watermark)
+        if cfg.window_kind == "session":
+            return self._session_partial(batch)
         ts = np.asarray(batch["event_ts"], dtype=np.int64)
         src = np.asarray(batch["source"])
         govern = self._governing(ts)
@@ -593,55 +600,40 @@ class KeyedStateActor(Resettable):
         Hm = np.stack(hists) if hists else np.zeros((0, cfg.gray_mod), dtype=np.int64)
         return out_src, out_win, Hm, self.n_late
 
-    # -- coordinated SESSION protocol (salted session windows) ------------
-    #
-    # With a hot source salted across actors, no single actor sees all of a
-    # source's rows, so the session gap-merge cannot run actor-locally.
-    # Session BOUNDARIES are associative interval data, exactly like the
-    # histogram partials: each actor returns its batch's micro-session
-    # fragments (source, start, last, hist); the driver gap-merges the
-    # fragments globally (the merge relation is transitive, so merging
-    # merged fragments equals merging rows), decides closure against the
-    # watermark, and broadcasts (source, lo, hi, wm_token) items back.
-
-    def ingest_session_partial(self, batch: pa.Table, horizons: dict):
-        """Buffer rows + return per-batch session fragments.  ``horizons``:
-        driver's per-source late horizon (last CLOSED session's last+gap) —
-        the same lateness rule as the unsalted session path.
-        Returns (sources, starts, lasts, hist_matrix, n_late)."""
+    def _session_partial(self, batch: pa.Table):
+        """Session kind of :meth:`ingest_partial`: buffer rows + return the
+        batch's micro-session fragments.  Rows at or below a source's
+        closed horizon (recorded by ``finalize_sessions_salted``) are late —
+        the same rule as the unsalted session path."""
         cfg = self.cfg
         out_src: list[str] = []
-        out_start: list[int] = []
-        out_last: list[int] = []
+        spans: list[tuple[int, int]] = []
         hists: list[np.ndarray] = []
         batch, frags, late_idx = self._session_fragments(
-            batch, lambda s: horizons.get(s, -(1 << 62))
+            batch, lambda s: self.session_horizon.get(s, -(1 << 62))
         )
         for s, sub, tk, seg_starts, seg_ends, H in frags:
             for k, (a, b) in enumerate(zip(seg_starts, seg_ends)):
                 out_src.append(s)
-                out_start.append(int(tk[a]))
-                out_last.append(int(tk[b - 1]))
+                spans.append((int(tk[a]), int(tk[b - 1])))
                 hists.append(H[k])
             self._salted_rows.setdefault(s, []).append(sub)
         if late_idx:
             self._note_late(batch.take(pa.array(late_idx)))
         Hm = np.stack(hists) if hists else np.zeros((0, cfg.gray_mod), dtype=np.int64)
-        return (
-            out_src,
-            np.asarray(out_start, np.int64),
-            np.asarray(out_last, np.int64),
-            Hm,
-            self.n_late,
-        )
+        return out_src, spans, Hm, self.n_late
 
     def finalize_sessions_salted(
         self, items: list[tuple[str, int, int, int]]
     ) -> list[pa.Table]:
         """Rewrite + emit + evict this actor's buffered rows of each closed
-        session ``(source, lo, hi, wm_token)`` (rows with lo <= ts <= hi)."""
+        session ``(source, lo, hi, wm_token)`` (rows with lo <= ts <= hi),
+        and record the source's closed horizon ``hi + session_gap``."""
         out = []
         for s, lo, hi, wm_tok in items:
+            self.session_horizon[s] = max(
+                self.session_horizon.get(s, -(1 << 62)), hi + self.cfg.session_gap
+            )
             tables = self._salted_rows.get(s)
             if not tables:
                 continue
@@ -658,9 +650,6 @@ class KeyedStateActor(Resettable):
             )
             self.n_emitted += rows.num_rows
         return self._divert(out)
-
-    def salted_session_buffered(self) -> int:
-        return sum(t.num_rows for lst in self._salted_rows.values() for t in lst)
 
     def finalize_windows(self, wm_items: list[tuple[str, int, int]]) -> list[pa.Table]:
         """Rewrite + emit + evict the given (source, window, wm_token) keys
@@ -724,7 +713,7 @@ class KeyedStateActor(Resettable):
             "live_hists": len(self.hists),
             "buffered_rows": sum(t.num_rows for lst in self.buffers.values() for t in lst)
             + sum(t.num_rows for v in self.sessions.values() for s in v for t in s["tables"])
-            + self.salted_session_buffered(),
+            + sum(t.num_rows for lst in self._salted_rows.values() for t in lst),
             "n_late": self.n_late,
             "n_emitted": self.n_emitted,
         }

@@ -9,6 +9,7 @@ for every inpaint topology; a reset actor holds exactly a fresh actor's
 state; a crashed call returns nothing to the pool; a new Ray session never
 sees an old session's handles; an idle actor that died is replaced."""
 
+import functools
 import os
 import time
 
@@ -25,6 +26,7 @@ from pdf_watermark_removal_otsu_inpaint_ray.state.keyed_state import KeyedStateA
 from pdf_watermark_removal_otsu_inpaint_ray.state.watermark_tracker import WatermarkTracker
 
 TUMBLING = DEFAULT_CONFIG.with_(window_kind="tumbling", window_size=32, allowed_lateness=16)
+STICKY = TUMBLING.with_(detection_mode="sticky")
 SESSION = DEFAULT_CONFIG.with_(window_kind="session", session_gap=5, allowed_lateness=16)
 # the unrelated run: another window kind, size, detection mode and stream
 OTHER = DEFAULT_CONFIG.with_(
@@ -72,13 +74,11 @@ def _all_idle_ids():
 
 
 def _state(actor):
-    """An actor's instance state, read inside the actor, with handles and
-    the coordinator made comparable."""
+    """An actor's instance state, read inside the actor, with handles made
+    comparable."""
 
     def snapshot(self):  # nested: pickled by value into the actor
         d = dict(vars(self))
-        if "coord" in d:
-            d["coord"] = dict(vars(d["coord"]))
         if "actors" in d:
             d["actors"] = [a._actor_id.hex() for a in d["actors"]]
         return d
@@ -111,16 +111,6 @@ def _partitioned(src, out):
     )[0]
 
 
-def _salted(cfg):
-    def run(src, out):
-        return st.run_streaming_salted(
-            src, cfg, n_actors=N_ACTORS, salt_buckets=3, micro_batch_rows=64,
-            out_dir=out, num_partitions=5,
-        )
-
-    return run
-
-
 def _salted_mc(src, out, cfg=TUMBLING, micro_batch_rows=64):
     return st.run_streaming_salted_partitioned(
         src, cfg, n_actors=N_ACTORS, salt_buckets=3, n_partitions=2,
@@ -136,8 +126,10 @@ TOPOLOGIES = {
     "keyed": (_no_prepare, _keyed),
     "keyed_checkpoint_resume": _crash_then_resume(_keyed),
     "partitioned": (_no_prepare, _partitioned),
-    "salted": (_no_prepare, _salted(TUMBLING)),
-    "salted_sessions": (_no_prepare, _salted(SESSION)),
+    # the unrelated run is sticky over the same source names, so a sticky
+    # map that survived reset would change this run's tokens
+    "salted": (_no_prepare, functools.partial(_salted_mc, cfg=STICKY)),
+    "salted_sessions": (_no_prepare, functools.partial(_salted_mc, cfg=SESSION)),
     "salted_multi_consumer": (_no_prepare, _salted_mc),
 }
 

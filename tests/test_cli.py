@@ -109,8 +109,10 @@ def test_cli_resume_notice_and_overwrite(ray_session, tmp_path, capsys):
 def test_cli_streaming_topologies(ray_session, tmp_path, capsys):
     """--streaming-topology partitioned|salted run the multi-consumer
     engines from the CLI and commit the same doc_id set as the default
-    single-consumer topology; --checkpoint-every is rejected there (the
-    partitioned topologies recover by whole-run replay)."""
+    single-consumer topology (salted: the same tokens too, with session and
+    global windows); --checkpoint-every is rejected there (the partitioned
+    topologies recover by whole-run replay)."""
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
     import pytest
@@ -134,6 +136,28 @@ def test_cli_streaming_topologies(ray_session, tmp_path, capsys):
             for d in b["doc_id"].to_pylist()
         )
         assert got == src_ids, topo
+
+    # every window kind runs on the salted topology: it commits the same
+    # doc_ids and tokens as the single-consumer one
+    def committed(out_dir):
+        t = pa.concat_tables(
+            list(read_output(out_dir).iter_batches(batch_format="pyarrow"))
+        ).sort_by("doc_id")
+        return t["doc_id"].to_pylist(), t["tokens"].to_pylist()
+
+    for window in ("session", "global"):
+        outs = {}
+        for topo in ("single", "salted"):
+            outs[topo] = str(tmp_path / f"out_{window}_{topo}")
+            rc = main(
+                ["run", "--input", p, "--output", outs[topo], "--partitions", "4",
+                 "--lateness", "64", "--window", window, "--session-gap", "2",
+                 "--streaming", "--streaming-topology", topo]
+            )
+            assert rc == 0, (window, topo)
+            capsys.readouterr()
+        assert committed(outs["salted"]) == committed(outs["single"]), window
+        assert committed(outs["salted"])[0] == src_ids, window
 
     with pytest.raises(SystemExit, match="checkpoint-every"):
         main(

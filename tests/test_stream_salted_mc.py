@@ -24,12 +24,12 @@ from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
 )
 
 
-def _chunked_stream(d, n, *, n_sources, chunk=100, disorder=8):
+def _chunked_stream(d, n, *, n_sources, chunk=100, disorder=8, **kw):
     d.mkdir(exist_ok=True)
     for s in range(0, n, chunk):
         t = synth.generate_stream(
             min(chunk, n - s), start_row=s, n_sources=n_sources,
-            n_tok_lo=48, n_tok_hi=128, disorder=disorder,
+            n_tok_lo=48, n_tok_hi=128, disorder=disorder, **kw,
         )
         pq.write_table(t, str(d / f"chunk-{s:06d}.parquet"))
     return pa.concat_tables(
@@ -111,7 +111,7 @@ def test_salted_mc_conservation_under_disorder(ray_session, tmp_path):
 
 def test_salted_mc_sink_mode(ray_session, tmp_path):
     """Sink-direct exactly-once output: committed rows equal the
-    driver-collect run's rows (read back via read_output)."""
+    driver-collect run's rows (read back via read_output) and golden."""
     from pdf_watermark_removal_otsu_inpaint_ray.sinks.exactly_once import (
         read_output,
     )
@@ -130,19 +130,47 @@ def test_salted_mc_sink_mode(ray_session, tmp_path):
         str(d), cfg, n_actors=3, salt_buckets=2, n_partitions=2,
         micro_batch_rows=64, out_dir=out_dir,
     )
-    assert res_sink.output is None
+    assert res_sink.output is None and res_sink.commit_report is not None
     got = pa.concat_tables(
         list(read_output(out_dir).iter_batches(batch_format="pyarrow"))
     ).sort_by("doc_id")
     want = res_drv.output.sort_by("doc_id")
     assert got["doc_id"].to_pylist() == want["doc_id"].to_pylist()
     assert got["tokens"].to_pylist() == want["tokens"].to_pylist()
+    expected = golden.golden_pipeline(full, cfg).sort_by("doc_id")
+    assert got["tokens"].to_pylist() == expected["tokens"].to_pylist()
 
 
-def test_salted_mc_rejects_sessions(ray_session, tmp_path):
-    cfg = DEFAULT_CONFIG.with_(window_kind="session")
-    with pytest.raises(ValueError, match="tumbling/sliding"):
-        run_streaming_salted_partitioned(str(tmp_path), cfg)
+@pytest.mark.parametrize(
+    "kind,kw",
+    [("session", dict(session_gap=2)), ("global", dict(detection_mode="sticky"))],
+)
+def test_salted_mc_session_and_global_golden(ray_session, tmp_path, kind, kw):
+    """Session and global windows run on the salted engine with no
+    window-kind check: 3 consumers, driver-collect and sink-direct output
+    both byte-equal to golden."""
+    from pdf_watermark_removal_otsu_inpaint_ray.sinks.exactly_once import (
+        read_output,
+    )
+
+    d = tmp_path / f"mc_{kind}"
+    full = _chunked_stream(d, 500, n_sources=3, rows_per_ts=1)
+    cfg = DEFAULT_CONFIG.with_(window_kind=kind, allowed_lateness=16, **kw)
+    expected = golden.golden_pipeline(full, cfg).sort_by("doc_id")
+    out_dir = str(tmp_path / f"mc_{kind}_out")
+    for sink in (None, out_dir):
+        res, _ = run_streaming_salted_partitioned(
+            str(d), cfg, n_actors=3, salt_buckets=2, n_partitions=3,
+            micro_batch_rows=48, out_dir=sink,
+        )
+        assert res.n_late == 0
+        got = res.output if sink is None else pa.concat_tables(
+            list(read_output(sink).iter_batches(batch_format="pyarrow"))
+        )
+        got = got.sort_by("doc_id")
+        assert got["doc_id"].to_pylist() == expected["doc_id"].to_pylist()
+        assert got["tokens"].to_pylist() == expected["tokens"].to_pylist()
+        assert got["wm_token"].to_pylist() == expected["wm_token"].to_pylist()
 
 
 def test_salted_mc_sink_replay_idempotent(ray_session, tmp_path):

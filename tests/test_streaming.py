@@ -2,6 +2,8 @@
 late-data side output, watermark-driven state eviction, sink integration
 (FIXTURES.md fixture 6)."""
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -9,7 +11,19 @@ import pytest
 
 from pdf_watermark_removal_otsu_inpaint_ray import golden, synth
 from pdf_watermark_removal_otsu_inpaint_ray.config import DEFAULT_CONFIG
-from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import run_streaming
+from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
+    run_streaming,
+    run_streaming_salted_partitioned,
+)
+
+
+def _log(table: pa.Table, d, chunk: int = 100) -> str:
+    """``table`` as a log of ``chunk``-row files under ``d`` (same rows,
+    same arrival order), the input shape of the multi-consumer engines."""
+    os.makedirs(d, exist_ok=True)
+    for i, s in enumerate(range(0, table.num_rows, chunk)):
+        pq.write_table(table.slice(s, chunk), os.path.join(d, f"chunk-{i:04d}.parquet"))
+    return str(d)
 
 
 @pytest.fixture(scope="module")
@@ -42,31 +56,7 @@ def test_streaming_matches_golden_when_nothing_late(ray_session, stream_path, cf
     assert got["wm_token"].to_pylist() == expected["wm_token"].to_pylist()
 
 
-def test_salted_streaming_matches_golden(ray_session, tmp_path):
-    """Hot-key salting: a single dominant source spread across 4 actors via
-    doc_id salt still produces golden-equal output (driver merges the
-    associative histogram deltas before detection)."""
-    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import run_streaming_salted
-
-    p = str(tmp_path / "hot.parquet")
-    # n_sources=1 -> maximal skew: every row is the same source
-    synth.write_stream(p, 500, n_sources=1, n_tok_lo=48, n_tok_hi=128, disorder=8)
-    cfg = DEFAULT_CONFIG.with_(window_kind="tumbling", window_size=32, allowed_lateness=16)
-    table = pq.read_table(p)
-    expected = golden.golden_pipeline(table, cfg).sort_by("doc_id")
-    res = run_streaming_salted(p, cfg, n_actors=4, salt_buckets=4, micro_batch_rows=100)
-    assert res.n_late == 0
-    got = res.output.sort_by("doc_id")
-    assert got["doc_id"].to_pylist() == expected["doc_id"].to_pylist()
-    assert got["tokens"].to_pylist() == expected["tokens"].to_pylist()
-    # the hot source's state really was spread across actors
-    spread = sum(1 for s in res.actor_stats if s["n_emitted"] > 0)
-    assert spread >= 2
-
-
 def test_salted_streaming_sticky_mode(ray_session, tmp_path):
-    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import run_streaming_salted
-
     p = str(tmp_path / "sticky.parquet")
     synth.write_stream(p, 400, n_sources=2, n_tok_lo=48, n_tok_hi=128, disorder=8)
     cfg = DEFAULT_CONFIG.with_(
@@ -75,7 +65,10 @@ def test_salted_streaming_sticky_mode(ray_session, tmp_path):
     )
     table = pq.read_table(p)
     expected = golden.golden_pipeline(table, cfg).sort_by("doc_id")
-    res = run_streaming_salted(p, cfg, n_actors=3, salt_buckets=2, micro_batch_rows=64)
+    res, _ = run_streaming_salted_partitioned(
+        _log(table, tmp_path / "log"), cfg, n_actors=3, salt_buckets=2, n_partitions=2,
+        micro_batch_rows=64,
+    )
     got = res.output.sort_by("doc_id")
     assert got["tokens"].to_pylist() == expected["tokens"].to_pylist()
     assert got["wm_token"].to_pylist() == expected["wm_token"].to_pylist()
@@ -207,28 +200,6 @@ def test_partitioned_sink_mode_golden_and_replay(ray_session, tmp_path):
     assert collect(crash).equals(collect(clean))
 
 
-def test_salted_sink_mode_golden(ray_session, tmp_path):
-    """Salted coordinated streaming in sink-direct mode: finalize_windows
-    acks carry no token data; committed layout equals golden."""
-    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import run_streaming_salted
-    from pdf_watermark_removal_otsu_inpaint_ray.sinks.exactly_once import read_output
-
-    p = str(tmp_path / "hot.parquet")
-    synth.write_stream(p, 500, n_sources=1, n_tok_lo=48, n_tok_hi=128, disorder=8)
-    cfg = DEFAULT_CONFIG.with_(window_kind="tumbling", window_size=32, allowed_lateness=16)
-    out_dir = str(tmp_path / "out")
-    res = run_streaming_salted(
-        p, cfg, n_actors=4, salt_buckets=4, micro_batch_rows=100, out_dir=out_dir
-    )
-    assert res.output is None and res.commit_report is not None
-    got = pa.concat_tables(
-        [pa.table(b) for b in read_output(out_dir).iter_batches(batch_format="pyarrow")]
-    ).sort_by("doc_id")
-    expected = golden.golden_pipeline(pq.read_table(p), cfg).sort_by("doc_id")
-    assert got["doc_id"].to_pylist() == expected["doc_id"].to_pylist()
-    assert got["tokens"].to_pylist() == expected["tokens"].to_pylist()
-
-
 def test_late_rows_staged_to_side_output_in_sink_mode(ray_session, tmp_path):
     """SURVEY §2.9 late side output as a SINK: with a sink dir, late rows
     land committed under <out_dir>/_late (counted, not dropped, not held in
@@ -307,17 +278,21 @@ def test_streaming_with_exactly_once_sink(ray_session, stream_path, tmp_path):
 
 
 def test_salted_session_windows_match_golden(ray_session, tmp_path):
-    """Coordinated session windows under hot-key salting: driver gap-merges
-    per-actor session fragments (associative interval merge), output equals
-    the per-source golden gap-merge, state fully evicted, works sink-direct."""
-    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import run_streaming_salted
+    """Session windows under hot-key salting: the salted aggregator
+    gap-merges the actors' session fragments (associative interval merge);
+    output equals the per-source golden gap-merge, state is fully evicted,
+    and the sink-direct run commits the same rows."""
     from pdf_watermark_removal_otsu_inpaint_ray.sinks.exactly_once import read_output
 
     p = str(tmp_path / "hot.parquet")
     synth.write_stream(p, 500, n_sources=1, disorder=6, rows_per_ts=1)
     cfg = DEFAULT_CONFIG.with_(window_kind="session", session_gap=5, allowed_lateness=16)
-    expected = golden.golden_pipeline(pq.read_table(p), cfg).sort_by("doc_id")
-    res = run_streaming_salted(p, cfg, n_actors=4, salt_buckets=4, micro_batch_rows=64)
+    table = pq.read_table(p)
+    expected = golden.golden_pipeline(table, cfg).sort_by("doc_id")
+    src = _log(table, tmp_path / "log")
+    res, _ = run_streaming_salted_partitioned(
+        src, cfg, n_actors=4, salt_buckets=4, n_partitions=3, micro_batch_rows=64
+    )
     assert res.n_late == 0
     got = res.output.sort_by("doc_id")
     assert got["doc_id"].to_pylist() == expected["doc_id"].to_pylist()
@@ -328,32 +303,49 @@ def test_salted_session_windows_match_golden(ray_session, tmp_path):
         assert s["buffered_rows"] == 0  # state evicted
 
     out_dir = str(tmp_path / "sink")
-    res2 = run_streaming_salted(
-        p, cfg, n_actors=4, salt_buckets=4, micro_batch_rows=64, out_dir=out_dir
+    res2, _ = run_streaming_salted_partitioned(
+        src, cfg, n_actors=4, salt_buckets=4, n_partitions=3, micro_batch_rows=64,
+        out_dir=out_dir,
     )
     assert res2.output is None
     got2 = pa.concat_tables(
         [pa.table(b) for b in read_output(out_dir).iter_batches(batch_format="pyarrow")]
     ).sort_by("doc_id")
+    assert got2["doc_id"].to_pylist() == expected["doc_id"].to_pylist()
     assert got2["tokens"].to_pylist() == expected["tokens"].to_pylist()
 
 
 def test_salted_session_late_rows_counted(ray_session, tmp_path):
     """Salted session path: rows behind a source's closed-session horizon
-    are routed to the late output (counted, not dropped, not emitted)."""
-    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import run_streaming_salted
+    are routed to the late output (counted, not dropped, not emitted).  The
+    log ends with a chunk of rows carrying the stream's first timestamps,
+    long after their sessions closed; with one consumer the aggregator's
+    close of those sessions provably reaches every actor first (the
+    consumer awaits each batch's ``add``, which runs after the
+    ``maybe_finalize`` sent before it), so they are late."""
+    table = synth.generate_stream(800, n_sources=4, disorder=4, rows_per_ts=1)
+    head = table.slice(0, 60)
+    tail = head.set_column(
+        head.schema.get_field_index("doc_id"), "doc_id",
+        pa.array([f"late-{d}" for d in head["doc_id"].to_pylist()]),
+    )
+    inp = pa.concat_tables([table, tail])
+    src = _log(inp, tmp_path / "log", chunk=80)
+    cfg = DEFAULT_CONFIG.with_(window_kind="session", session_gap=2, allowed_lateness=8)
+    for n_partitions in (1, 2):
+        res, _ = run_streaming_salted_partitioned(
+            src, cfg, n_actors=3, salt_buckets=2, n_partitions=n_partitions,
+            micro_batch_rows=16,
+        )
+        if n_partitions == 1:
+            assert res.n_late > 0
+        late_ids = res.late["doc_id"].to_pylist() if res.n_late else []
+        assert len(late_ids) == res.n_late
+        assert all(d.startswith("late-") for d in late_ids)
+        got_ids = res.output["doc_id"].to_pylist() + late_ids
+        assert sorted(got_ids) == sorted(inp["doc_id"].to_pylist())  # once each
+        assert all(s["buffered_rows"] == 0 for s in res.actor_stats)
 
-    p = str(tmp_path / "late.parquet")
-    synth.write_stream(p, 500, n_sources=2, disorder=64, rows_per_ts=1)
-    cfg = DEFAULT_CONFIG.with_(window_kind="session", session_gap=2, allowed_lateness=0)
-    res = run_streaming_salted(p, cfg, n_actors=3, salt_buckets=2, micro_batch_rows=32)
-    inp = pq.read_table(p)
-    if res.n_late:
-        assert res.late is not None and res.late.num_rows == res.n_late
-        got_ids = sorted(res.output["doc_id"].to_pylist() + res.late["doc_id"].to_pylist())
-    else:
-        got_ids = sorted(res.output["doc_id"].to_pylist())
-    assert got_ids == sorted(inp["doc_id"].to_pylist())
 
 
 def test_partitioned_metrics_include_wm_lag(ray_session, tmp_path):
@@ -390,11 +382,6 @@ def test_salted_sticky_gap_window_not_retroactive(ray_session, tmp_path):
     DETECTING window, the salted leftover flush must emit it with its own
     failed detection (-1) — never the later sticky token retroactively
     (matching the unsalted `key[1] >= st[1]` guard and golden.apply_sticky)."""
-    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
-        run_streaming,
-        run_streaming_salted,
-    )
-
     cfg = DEFAULT_CONFIG.with_(
         window_kind="sliding", window_size=16, window_slide=32,
         allowed_lateness=4, detection_mode="sticky",
@@ -432,7 +419,10 @@ def test_salted_sticky_gap_window_not_retroactive(ray_session, tmp_path):
 
     for runner in (
         lambda: run_streaming(p, cfg, n_actors=3, micro_batch_rows=4),
-        lambda: run_streaming_salted(p, cfg, n_actors=3, salt_buckets=2, micro_batch_rows=4),
+        lambda: run_streaming_salted_partitioned(
+            _log(table, tmp_path / "log", chunk=3), cfg, n_actors=3, salt_buckets=2,
+            n_partitions=2, micro_batch_rows=4,
+        )[0],
     ):
         res = runner()
         got = res.output.sort_by("doc_id")

@@ -1,8 +1,11 @@
 """Randomized cross-variant conformance: for random (window kind, sizes,
 disorder <= lateness, source counts) configurations, every streaming
-variant — coordinated, hot-key-salted, partitioned-log — must reproduce
-the batch golden byte-for-byte.  Complements the fixed-config golden tests
-with sampled coverage of the config space."""
+variant — single-consumer, partitioned-log, hot-key-salted multi-consumer
+— must reproduce the batch golden byte-for-byte.  Complements the
+fixed-config golden tests with sampled coverage of the config space."""
+
+import functools
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -11,6 +14,24 @@ import pytest
 
 from pdf_watermark_removal_otsu_inpaint_ray import golden, synth
 from pdf_watermark_removal_otsu_inpaint_ray.config import DEFAULT_CONFIG
+
+
+def _salted(p, cfg, *, n_partitions=2, chunk=100, **kw):
+    """The salted multi-consumer engine over the stream at ``p``, re-cut
+    into a log of ``chunk``-row files (same rows, same arrival order) read
+    by ``n_partitions`` consumers."""
+    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
+        run_streaming_salted_partitioned,
+    )
+
+    t = pq.read_table(p)
+    d = os.path.splitext(p)[0] + "_log"
+    os.makedirs(d, exist_ok=True)
+    for i, s in enumerate(range(0, t.num_rows, chunk)):
+        pq.write_table(t.slice(s, chunk), os.path.join(d, f"chunk-{i:04d}.parquet"))
+    res, metrics = run_streaming_salted_partitioned(d, cfg, n_partitions=n_partitions, **kw)
+    assert len(metrics) == n_partitions
+    return res
 
 CASES = [
     # (seed, kind, n_sources, disorder, kwargs)
@@ -22,9 +43,11 @@ CASES = [
     (6, "session", 1, 9, dict(session_gap=11)),
     # sticky detection (first window wins per source) must also conform in
     # every variant — partitioned consumers share the actor-local sticky
-    # state, salted mode threads it through the coordinated protocol
+    # state, salted mode keeps it in the aggregator
     (7, "tumbling", 4, 6, dict(window_size=24, detection_mode="sticky")),
     (8, "session", 3, 4, dict(session_gap=5, detection_mode="sticky")),
+    (9, "global", 3, 6, dict()),
+    (10, "global", 3, 6, dict(detection_mode="sticky")),
 ]
 
 
@@ -33,7 +56,6 @@ def test_streaming_variants_conform_to_golden(ray_session, tmp_path, seed, kind,
     from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
         run_streaming,
         run_streaming_partitioned,
-        run_streaming_salted,
     )
 
     rng = np.random.default_rng(seed)
@@ -52,9 +74,9 @@ def test_streaming_variants_conform_to_golden(ray_session, tmp_path, seed, kind,
         assert got["wm_token"].to_pylist() == expected["wm_token"].to_pylist(), label
 
     check(run_streaming(p, cfg, n_actors=3, micro_batch_rows=int(rng.integers(40, 150))),
-          "coordinated")
-    check(run_streaming_salted(p, cfg, n_actors=3, salt_buckets=2,
-                               micro_batch_rows=int(rng.integers(40, 150))),
+          "single")
+    check(_salted(p, cfg, n_partitions=2 + seed % 2, n_actors=3, salt_buckets=2,
+                  micro_batch_rows=int(rng.integers(40, 150))),
           "salted")
     # partitioned-log consumers handle every window kind: all rows of a
     # source meet the same state actor regardless of which consumer read
@@ -94,6 +116,25 @@ def test_partitioned_session_windows_multi_consumer(ray_session, tmp_path):
     assert got["tokens"].to_pylist() == expected["tokens"].to_pylist()
     assert got["wm_token"].to_pylist() == expected["wm_token"].to_pylist()
     assert len(metrics) == 3
+
+
+def test_salted_sessions_maximal_skew(ray_session, tmp_path):
+    """Maximal skew for session windows: ONE source carries the whole
+    stream, salted over 4 actors and read by 3 consumers.  The aggregator
+    gap-merges the actors' fragments into the golden sessions, at least two
+    actors emit rows of the one source, and no row stays buffered."""
+    p = str(tmp_path / "hot.parquet")
+    synth.write_stream(p, 600, n_sources=1, disorder=6, rows_per_ts=1)
+    cfg = DEFAULT_CONFIG.with_(window_kind="session", session_gap=1, allowed_lateness=8)
+    expected = golden.golden_pipeline(pq.read_table(p), cfg).sort_by("doc_id")
+    res = _salted(p, cfg, n_partitions=3, n_actors=4, salt_buckets=4, micro_batch_rows=48)
+    assert res.n_late == 0
+    got = res.output.sort_by("doc_id")
+    assert got["doc_id"].to_pylist() == expected["doc_id"].to_pylist()
+    assert got["tokens"].to_pylist() == expected["tokens"].to_pylist()
+    assert got["wm_token"].to_pylist() == expected["wm_token"].to_pylist()
+    assert sum(1 for s in res.actor_stats if s["n_emitted"] > 0) >= 2
+    assert all(s["buffered_rows"] == 0 for s in res.actor_stats)
 
 
 def _mk_rows(specs):
@@ -142,10 +183,7 @@ def test_sticky_sliding_detects_on_contributing_windows(ray_session, tmp_path):
 def test_fixed_wm_token_streaming_matches_golden(ray_session, tmp_path, kind, kw):
     """Regression (review finding): cfg.fixed_wm_token must skip detection
     in EVERY streaming variant, exactly like golden/flagship (M15)."""
-    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
-        run_streaming,
-        run_streaming_salted,
-    )
+    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import run_streaming
 
     p = str(tmp_path / "s.parquet")
     synth.write_stream(p, 300, n_sources=2, disorder=4, rows_per_ts=1)
@@ -153,7 +191,7 @@ def test_fixed_wm_token_streaming_matches_golden(ray_session, tmp_path, kind, kw
                                fixed_wm_token=150, **kw)
     expected = golden.golden_pipeline(pq.read_table(p), cfg).sort_by("doc_id")
     assert set(expected["wm_token"].to_pylist()) == {150}
-    for runner, label in ((run_streaming, "coordinated"), (run_streaming_salted, "salted")):
+    for runner, label in ((run_streaming, "single"), (_salted, "salted")):
         res = runner(p, cfg, n_actors=3, micro_batch_rows=64)
         got = res.output.sort_by("doc_id")
         assert got["wm_token"].to_pylist() == expected["wm_token"].to_pylist(), label
@@ -163,18 +201,15 @@ def test_fixed_wm_token_streaming_matches_golden(ray_session, tmp_path, kind, kw
 def test_sticky_sessions_streaming_matches_golden(ray_session, tmp_path):
     """Regression (review finding): sticky mode applies across SESSION
     windows (first detected session fixes the source's token), in both the
-    unsalted actor path and the salted driver path."""
-    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
-        run_streaming,
-        run_streaming_salted,
-    )
+    unsalted actor path and the salted aggregator path."""
+    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import run_streaming
 
     p = str(tmp_path / "s.parquet")
     synth.write_stream(p, 400, n_sources=3, disorder=4, rows_per_ts=1)
     cfg = DEFAULT_CONFIG.with_(window_kind="session", session_gap=5,
                                allowed_lateness=8, detection_mode="sticky")
     expected = golden.golden_pipeline(pq.read_table(p), cfg).sort_by("doc_id")
-    for runner, label in ((run_streaming, "coordinated"), (run_streaming_salted, "salted")):
+    for runner, label in ((run_streaming, "single"), (_salted, "salted")):
         res = runner(p, cfg, n_actors=3, micro_batch_rows=64)
         got = res.output.sort_by("doc_id")
         assert got["wm_token"].to_pylist() == expected["wm_token"].to_pylist(), label
@@ -211,10 +246,7 @@ def test_sticky_first_detection_is_not_retroactive(ray_session, tmp_path):
     watermark advance (e.g. at flush), golden.apply_sticky fixes the token
     from window 1 ONWARD only — window 0 must stay passthrough (-1), not be
     retroactively rewritten with window 1's token."""
-    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
-        run_streaming,
-        run_streaming_salted,
-    )
+    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import run_streaming
 
     rows = []
     for i, ts in enumerate(range(0, 8)):  # window 0: all-dark, no qualifying bin
@@ -232,7 +264,9 @@ def test_sticky_first_detection_is_not_retroactive(ray_session, tmp_path):
     # golden: window 0 rows passthrough (-1), window 1 rows carry 150
     exp_by_doc = dict(zip(expected["doc_id"].to_pylist(), expected["wm_token"].to_pylist()))
     assert exp_by_doc["a00"] == -1 and exp_by_doc["b00"] == 150
-    for runner, label in ((run_streaming, "incremental"), (run_streaming_salted, "salted")):
+    for runner, label in (
+        (run_streaming, "incremental"), (functools.partial(_salted, chunk=4), "salted"),
+    ):
         res = runner(p, cfg, n_actors=2, micro_batch_rows=4)
         got = res.output.sort_by("doc_id")
         assert got["wm_token"].to_pylist() == expected["wm_token"].to_pylist(), label
