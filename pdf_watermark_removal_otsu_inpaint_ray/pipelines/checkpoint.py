@@ -3,9 +3,10 @@
 A checkpoint of a sink-mode streaming run is three things, written
 atomically as one directory:
 
-1. **actor state snapshots** — each ``KeyedStateActor`` flushes its staged
-   output durable and pickles its mutable state (histograms, window
-   buffers, sticky tokens, session state, watermark);
+1. **actor state snapshots** — each state actor flushes its staged
+   output durable and pickles its mutable state (``checkpoint_state`` of
+   ``state/staging.py``'s base: the actor's ``_CKPT_FIELDS`` plus its
+   watermark and late-row count);
 2. **a staged-file manifest** — the exact set of files present under the
    sink's ``_staged/`` trees (main + late) at snapshot time.  On restore
    the staged log is TRUNCATED to this manifest: anything a crashed

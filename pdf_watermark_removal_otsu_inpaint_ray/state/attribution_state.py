@@ -55,25 +55,13 @@ class AttributionStateActor(_StagedEmitterBase):
         ts_col: str = "ts_us",
         seq_col: str = "event_id",
         type_col: str = "event_type",
-        sink_dir: str | None = None,
-        sink_partitions: int = 8,
-        sink_stage_rows: int = 32768,
-        sink_done: frozenset[int] = frozenset(),
-        late_done: frozenset[int] = frozenset(),
-        sink_epoch: int = 0,
+        **sink,
     ):
         self.touch, self.convert = touch, convert
         self.window = int(window)
         self.group_col, self.ts_col = group_col, ts_col
         self.seq_col, self.type_col = seq_col, type_col
-        self._init_staging(
-            sink_dir=sink_dir,
-            sink_partitions=sink_partitions,
-            sink_stage_rows=sink_stage_rows,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
+        self._init_staging(**sink)
         self._kid = np.zeros(0, np.int64)
         self._c_ts = np.zeros(0, np.int64)  # carry: latest finalized touch
         self._c_seq = np.zeros(0, np.int64)
@@ -188,26 +176,8 @@ class AttributionStateActor(_StagedEmitterBase):
         """End of stream: attribute everything still pending."""
         return self._sweep(1 << 62)
 
-    def sink_flush(self) -> int:
-        self._flush_sink()
-        self._flush_late()
-        return int(self._kid.size)
-
     _CKPT_FIELDS = ("_kid", "_c_ts", "_c_seq", "_pending", "finalized_upto",
-                    "n_rows", "n_late", "wm", "_late_mem")
-
-    def checkpoint_state(self) -> bytes:
-        import pickle
-
-        self._flush_sink()
-        self._flush_late()
-        return pickle.dumps({k: getattr(self, k) for k in self._CKPT_FIELDS})
-
-    def restore_state(self, blob: bytes) -> None:
-        import pickle
-
-        for k, v in pickle.loads(blob).items():
-            setattr(self, k, v)
+                    "n_rows")
 
     def state_stats(self) -> dict:
         return {

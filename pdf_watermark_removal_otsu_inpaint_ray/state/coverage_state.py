@@ -35,6 +35,8 @@ import pyarrow as pa
 
 import ray
 
+from .staging import _StagedEmitterBase
+
 
 def _merge_islands(
     k: np.ndarray, s: np.ndarray, e: np.ndarray
@@ -72,7 +74,7 @@ def _merge_islands(
 
 
 @ray.remote
-class CoverageStateActor:
+class CoverageStateActor(_StagedEmitterBase):
     def __init__(
         self,
         *,
@@ -84,13 +86,13 @@ class CoverageStateActor:
         self.key_col, self.ts_col = key_col, ts_col
         self.hold = int(hold)
         self.compact_rows = compact_rows
+        self._init_staging()  # monoid: no sink-direct mode and no late path
         self._k = np.zeros(0, np.int64)
         self._s = np.zeros(0, np.int64)
         self._e = np.zeros(0, np.int64)
         self._delta: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._delta_rows = 0
         self.n_rows = 0
-        self.n_late = 0  # monoid: no late path (kept for the shared contract)
 
     def ingest(self, batch: pa.Table) -> int:
         k = np.asarray(batch[self.key_col], np.int64)
@@ -138,22 +140,7 @@ class CoverageStateActor:
             )
         ]
 
-    def checkpoint_state(self) -> bytes:
-        import pickle
-
-        return pickle.dumps(
-            {
-                "_k": self._k, "_s": self._s, "_e": self._e,
-                "_delta": self._delta, "_delta_rows": self._delta_rows,
-                "n_rows": self.n_rows,
-            }
-        )
-
-    def restore_state(self, blob: bytes) -> None:
-        import pickle
-
-        for k, v in pickle.loads(blob).items():
-            setattr(self, k, v)
+    _CKPT_FIELDS = ("_k", "_s", "_e", "_delta", "_delta_rows", "n_rows")
 
     def state_stats(self) -> dict:
         return {

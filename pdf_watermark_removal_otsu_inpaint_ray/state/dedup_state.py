@@ -83,23 +83,11 @@ class DedupStateActor(_StagedEmitterBase):
         id_col: str = "dedup_id",
         ts_col: str = "event_ts",
         seq_col: str = "doc_id",
-        sink_dir: str | None = None,
-        sink_partitions: int = 8,
-        sink_stage_rows: int = 32768,
-        sink_done: frozenset[int] = frozenset(),
-        late_done: frozenset[int] = frozenset(),
-        sink_epoch: int = 0,
+        **sink,
     ):
         self.horizon = horizon
         self.id_col, self.ts_col, self.seq_col = id_col, ts_col, seq_col
-        self._init_staging(
-            sink_dir=sink_dir,
-            sink_partitions=sink_partitions,
-            sink_stage_rows=sink_stage_rows,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
+        self._init_staging(**sink)
         # identity state: parallel sorted arrays (id → last kept event_ts)
         self._sid = np.zeros(0, np.int64)
         self._sts = np.zeros(0, np.int64)
@@ -108,11 +96,6 @@ class DedupStateActor(_StagedEmitterBase):
         self.finalized_upto = int(_MIN)
         self.n_kept = 0
         self.n_dup = 0
-
-    def sink_flush(self) -> int:
-        self._flush_sink()
-        self._flush_late()
-        return self.n_kept
 
     # -- ingest / sweep -----------------------------------------------------
 
@@ -235,23 +218,8 @@ class DedupStateActor(_StagedEmitterBase):
         """End of stream: sweep everything still pending."""
         return self._divert(self._sweep(1 << 62))
 
-    # same checkpoint contract as the join/keyed actors: stage buffers
-    # flush durable first, then every mutable field pickles
     _CKPT_FIELDS = ("_sid", "_sts", "_pending", "finalized_upto",
-                    "n_kept", "n_dup", "n_late", "wm", "_late_mem")
-
-    def checkpoint_state(self) -> bytes:
-        import pickle
-
-        self._flush_sink()
-        self._flush_late()
-        return pickle.dumps({k: getattr(self, k) for k in self._CKPT_FIELDS})
-
-    def restore_state(self, blob: bytes) -> None:
-        import pickle
-
-        for k, v in pickle.loads(blob).items():
-            setattr(self, k, v)
+                    "n_kept", "n_dup")
 
     def state_stats(self) -> dict:
         return {

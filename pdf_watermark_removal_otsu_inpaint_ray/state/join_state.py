@@ -64,12 +64,7 @@ class JoinStateActor(_StagedEmitterBase):
         # eviction proves no in-band partner can still arrive
         band_lo: int | None = None,
         band_hi: int | None = None,
-        sink_dir: str | None = None,
-        sink_partitions: int = 8,
-        sink_stage_rows: int = 32768,
-        sink_done: frozenset[int] = frozenset(),
-        late_done: frozenset[int] = frozenset(),
-        sink_epoch: int = 0,
+        **sink,
     ):
         # DIRECTED band: a pair is valid iff band_lo <= r.ts - l.ts <=
         # band_hi.  ``band`` is the symmetric shorthand (lo = -band,
@@ -86,14 +81,7 @@ class JoinStateActor(_StagedEmitterBase):
             raise ValueError(f"unknown join mode {mode!r}")
         self.outer = mode in ("left_outer", "full_outer")
         self.outer_right = mode == "full_outer"
-        self._init_staging(
-            sink_dir=sink_dir,
-            sink_partitions=sink_partitions,
-            sink_stage_rows=sink_stage_rows,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
+        self._init_staging(**sink)
         # per side (0 = left, 1 = right): compacted arrays sorted by key
         self._k = [np.zeros(0, np.int64), np.zeros(0, np.int64)]
         self._s = [np.zeros(0, np.int64), np.zeros(0, np.int64)]
@@ -259,28 +247,7 @@ class JoinStateActor(_StagedEmitterBase):
         self.wm = 1 << 62
         return self._divert(self._evict())
 
-    def sink_flush(self) -> int:
-        self._flush_sink()
-        self._flush_late()
-        return self.n_pairs
-
-    # mutable state snapshot/restore (pipelines/checkpoint.py contract:
-    # flush stage buffers durable FIRST so manifest + blob = complete state)
-    _CKPT_FIELDS = ("_k", "_s", "_t", "_m0", "_m1", "n_pairs", "n_late",
-                    "wm", "_late_mem")
-
-    def checkpoint_state(self) -> bytes:
-        import pickle
-
-        self._flush_sink()
-        self._flush_late()
-        return pickle.dumps({k: getattr(self, k) for k in self._CKPT_FIELDS})
-
-    def restore_state(self, blob: bytes) -> None:
-        import pickle
-
-        for k, v in pickle.loads(blob).items():
-            setattr(self, k, v)
+    _CKPT_FIELDS = ("_k", "_s", "_t", "_m0", "_m1", "n_pairs")
 
     def state_stats(self) -> dict:
         return {
@@ -321,24 +288,8 @@ class TemporalJoinActor(_StagedEmitterBase):
     version per key per horizon.
     """
 
-    def __init__(
-        self,
-        *,
-        sink_dir: str | None = None,
-        sink_partitions: int = 8,
-        sink_stage_rows: int = 32768,
-        sink_done: frozenset[int] = frozenset(),
-        late_done: frozenset[int] = frozenset(),
-        sink_epoch: int = 0,
-    ):
-        self._init_staging(
-            sink_dir=sink_dir,
-            sink_partitions=sink_partitions,
-            sink_stage_rows=sink_stage_rows,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
+    def __init__(self, **sink):
+        self._init_staging(**sink)
         # dimension buffer, kept sorted by (ts, seq) — merge_asof order
         self._dk = np.zeros(0, np.int64)
         self._ds = np.zeros(0, np.int64)
@@ -456,28 +407,7 @@ class TemporalJoinActor(_StagedEmitterBase):
         out = self._finalize(1 << 62)
         return self._divert([out] if out is not None else [])
 
-    # same checkpoint contract as JoinStateActor: stage buffers flush
-    # durable first, then every mutable field pickles
-    _CKPT_FIELDS = ("_dk", "_ds", "_dt", "_ek", "_es", "_et",
-                    "n_emitted", "n_late", "wm", "_late_mem")
-
-    def checkpoint_state(self) -> bytes:
-        import pickle
-
-        self._flush_sink()
-        self._flush_late()
-        return pickle.dumps({k: getattr(self, k) for k in self._CKPT_FIELDS})
-
-    def restore_state(self, blob: bytes) -> None:
-        import pickle
-
-        for k, v in pickle.loads(blob).items():
-            setattr(self, k, v)
-
-    def sink_flush(self) -> int:
-        self._flush_sink()
-        self._flush_late()
-        return self.n_emitted
+    _CKPT_FIELDS = ("_dk", "_ds", "_dt", "_ek", "_es", "_et", "n_emitted")
 
     def state_stats(self) -> dict:
         return {

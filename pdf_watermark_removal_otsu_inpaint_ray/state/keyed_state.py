@@ -12,7 +12,10 @@ the watermark token (Otsu rule, watermark_detector.py:172-189), rewrites the
 buffered rows with the fused inpaint kernel, emits them, and **evicts** the
 state — watermark-driven eviction per SURVEY.md §2.9.  Rows whose governing
 window already finalized are routed to the late-data side output (counted,
-never silently dropped).
+never silently dropped).  Sink staging, that side output and
+checkpoint/restore are the shared state-actor base's
+(:class:`.staging._StagedEmitterBase`); this module holds only the window
+and session logic.
 
 Skew note (§4.2): sources are Zipf-skewed; the key → actor routing hashes
 ``source`` so hot sources can be salted by the caller into sub-keys (the
@@ -35,6 +38,7 @@ from ..stages.kernels import (
     process_batch_flat,
 )
 from . import Resettable
+from .staging import _StagedEmitterBase
 
 
 def merge_session_intervals(frags: list[dict], gap: int) -> list[dict]:
@@ -70,39 +74,13 @@ def _window_end(window_id: int, cfg: EngineConfig) -> int:
 
 
 @ray.remote
-class KeyedStateActor(Resettable):
-    def __init__(
-        self,
-        cfg: EngineConfig,
-        sink_dir: str | None = None,
-        sink_partitions: int = 8,
-        sink_stage_rows: int = 32768,
-        sink_done: frozenset[int] = frozenset(),
-        late_done: frozenset[int] = frozenset(),
-        sink_epoch: int = 0,
-    ):
-        """``sink_dir``: when set, finalized windows flow DIRECTLY into the
-        exactly-once sink's staged layout from this actor (buffered to
-        ``sink_stage_rows`` to bound file counts) — the driver only commits
-        manifests at end of stream, token data never rides the acks.  Late
-        rows likewise stage to ``<sink_dir>/_late`` (same atomic-rename
-        protocol), so actor late-buffer memory stays O(stage buffer), never
-        O(stream): the SURVEY §2.9 side output is a SINK, not actor state.
-        ``late_done``: committed partitions of the late layout (resume)."""
+class KeyedStateActor(_StagedEmitterBase, Resettable):
+    def __init__(self, cfg: EngineConfig, **sink):
+        """``sink``: ``_StagedEmitterBase._init_staging``'s arguments — with
+        a ``sink_dir``, finalized windows and late rows stage from this
+        actor, so the driver only commits manifests."""
         self.cfg = cfg
-        self.sink_dir = sink_dir
-        self.sink_partitions = sink_partitions
-        self.sink_stage_rows = sink_stage_rows
-        self._sink_done = sink_done
-        self._late_done = late_done
-        # staging epoch of the producing run (sinks/exactly_once.begin_epoch):
-        # lets finalize discard a crashed earlier attempt's staged rows
-        self.sink_epoch = sink_epoch
-        self._sink_buf: list[pa.Table] = []
-        self._sink_rows = 0
-        self._late_buf: list[pa.Table] = []
-        self._late_buf_rows = 0
-        self._late_mem: list[pa.Table] = []
+        self._init_staging(**sink)
         self.hists: dict[tuple[str, int], np.ndarray] = {}
         self.buffers: dict[tuple[str, int], list[pa.Table]] = {}
         self.finalized: set[tuple[str, int]] = set()
@@ -122,21 +100,19 @@ class KeyedStateActor(Resettable):
         # session's (last + gap) per source (rows at/below it are late)
         self.sessions: dict[str, list[dict]] = {}
         self.session_horizon: dict[str, int] = {}
-        self.n_late = 0
         self.n_emitted = 0
         # salted-session row buffer (source -> tables) and the multi-consumer
         # outbox — plain actor state like everything above (review finding:
         # these were lazily getattr-created at each call site)
         self._salted_rows: dict[str, list[pa.Table]] = {}
         self._outbox: list[pa.Table] = []
+
+    def _clamp_wm(self, watermark: int) -> int:
         # Actor-local watermark is MONOTONIC: parallel consumers can deliver
         # ingest(wm=12) then ingest(wm=4); judging lateness against a stale
         # caller watermark would re-open an already-finalized window and
         # re-emit it from a straggler-only histogram.  All ingest paths clamp
         # to max(self.wm, caller_wm) first.
-        self.wm = -(1 << 62)
-
-    def _clamp_wm(self, watermark: int) -> int:
         self.wm = max(self.wm, watermark)
         # prune the finalized-key set: a window whose end <= wm is already
         # rejected by the lateness predicate, so retaining its key only
@@ -164,62 +140,6 @@ class KeyedStateActor(Resettable):
             return np.full(govern.size, 1 << 62, dtype=np.int64)
         raise ValueError(cfg.window_kind)
 
-    # -- sink-direct emission --------------------------------------------
-
-    def _divert(self, tables: list[pa.Table]) -> list[pa.Table]:
-        """In sink mode, stage emitted windows locally instead of returning
-        them (rewritten tokens never travel back through the driver)."""
-        if self.sink_dir is None or not tables:
-            return tables
-        for t in tables:
-            if t.num_rows:
-                self._sink_buf.append(t)
-                self._sink_rows += t.num_rows
-        if self._sink_rows >= self.sink_stage_rows:
-            self._flush_sink()
-        return []
-
-    def _flush_sink(self) -> None:
-        if not self._sink_buf:
-            return
-        from ..sinks.exactly_once import stage_table
-
-        table = pa.concat_tables(self._sink_buf)
-        self._sink_buf, self._sink_rows = [], 0
-        stage_table(self.sink_dir, table, self.sink_partitions, self._sink_done,
-                    self.sink_epoch)
-
-    def sink_flush(self) -> int:
-        """End-of-stream: push any buffered emissions to the staged layout."""
-        self._flush_sink()
-        self._flush_late()
-        return self.n_emitted
-
-    # -- late-data side output --------------------------------------------
-
-    def _note_late(self, late_batch: pa.Table) -> None:
-        """Count + route a late batch: to the ``<sink_dir>/_late`` staged
-        layout in sink mode (bounded actor buffer), to actor memory only in
-        driver-collected mode (small runs/tests)."""
-        self.n_late += late_batch.num_rows
-        if self.sink_dir is None:
-            self._late_mem.append(late_batch)
-            return
-        self._late_buf.append(late_batch)
-        self._late_buf_rows += late_batch.num_rows
-        if self._late_buf_rows >= self.sink_stage_rows:
-            self._flush_late()
-
-    def _flush_late(self) -> None:
-        if not self._late_buf:
-            return
-        from ..sinks.exactly_once import late_dir, stage_table
-
-        table = pa.concat_tables(self._late_buf)
-        self._late_buf, self._late_buf_rows = [], 0
-        stage_table(late_dir(self.sink_dir), table, self.sink_partitions, self._late_done,
-                    self.sink_epoch)
-
     # -- ingest -----------------------------------------------------------
 
     def ingest(self, batch: pa.Table, watermark: int) -> tuple[list[pa.Table], int]:
@@ -230,28 +150,29 @@ class KeyedStateActor(Resettable):
         if cfg.window_kind == "session":
             emitted, n_late = self._ingest_session(batch, watermark)
             return self._divert(emitted), n_late
-        ts = np.asarray(batch["event_ts"], dtype=np.int64)
-        src = np.asarray(batch["source"])
-        govern = self._governing(ts)
-
-        # late routing: governing window already finalized (the monotonic
-        # watermark implies every finalized window has end <= watermark, but
-        # consult self.finalized too so a window finalized by the salted
-        # aggregator can never re-open)
-        win_end = self._window_ends_vec(govern)
-        late = win_end <= watermark
-        late |= self._finalized_mask(src, govern)
-        late_batch = batch.filter(pa.array(late)) if late.any() else None
-        keep = ~late
-        if not keep.all():
-            batch = batch.filter(pa.array(keep))
-            ts, src, govern = ts[keep], src[keep], govern[keep]
+        batch, ts, src, govern = self._split_late(batch, watermark)
         if batch.num_rows:
             self._accumulate(batch, ts, src, govern)
         emitted = self._finalize_upto(watermark)
-        if late_batch is not None and late_batch.num_rows:
-            self._note_late(late_batch)
         return self._divert(emitted), self.n_late
+
+    def _split_late(self, batch: pa.Table, watermark: int):
+        """Route the rows whose governing window already finalized to the
+        late side output; return the rest as ``(batch, ts, src, govern)``.
+        The monotonic watermark implies every finalized window has end <=
+        watermark, but ``self.finalized`` is consulted too so a window
+        finalized by the salted aggregator can never re-open."""
+        ts = np.asarray(batch["event_ts"], dtype=np.int64)
+        src = np.asarray(batch["source"])
+        govern = self._governing(ts)
+        late = self._window_ends_vec(govern) <= watermark
+        late |= self._finalized_mask(src, govern)
+        if late.any():
+            self._note_late(batch.filter(pa.array(late)))
+            keep = ~late
+            batch = batch.filter(pa.array(keep))
+            ts, src, govern = ts[keep], src[keep], govern[keep]
+        return batch, ts, src, govern
 
     def _governing(self, ts: np.ndarray) -> np.ndarray:
         cfg = self.cfg
@@ -424,9 +345,7 @@ class KeyedStateActor(Resettable):
         exactly (the reference analog: per-document QR accumulation reset by
         clear_qr_codes(), watermark_detector.py:143-145)."""
         cfg = self.cfg
-        batch, frags, late_idx = self._session_fragments(
-            batch, lambda s: self.session_horizon.get(s, -(1 << 62))
-        )
+        batch, frags, late_idx = self._session_fragments(batch)
         for s, sub, tk, seg_starts, seg_ends, H in frags:
             merged = self.sessions.get(s, []) + [
                 {
@@ -443,11 +362,11 @@ class KeyedStateActor(Resettable):
             self._note_late(batch.take(pa.array(late_idx)))
         return emitted, self.n_late
 
-    def _session_fragments(self, batch: pa.Table, horizon_of):
+    def _session_fragments(self, batch: pa.Table):
         """Shared session-fragmenting core (unsalted ingest + salted
         partial): lexsort by (source, ts, doc), per-source lateness filter
-        against ``horizon_of(source)``, gap-split into micro-sessions
-        (np.diff), bulk histograms per segment.  Returns
+        against the source's closed ``session_horizon``, gap-split into
+        micro-sessions (np.diff), bulk histograms per segment.  Returns
         ``(sorted_batch, [(source, sub, tk, seg_starts, seg_ends, H)],
         late_row_indices_into_sorted_batch)``."""
         cfg = self.cfg
@@ -465,7 +384,7 @@ class KeyedStateActor(Resettable):
             for st, en in zip(starts, ends):
                 s = str(src[st])
                 tloc = ts[st:en]
-                late_loc = tloc <= horizon_of(s)
+                late_loc = tloc <= self.session_horizon.get(s, -(1 << 62))
                 if late_loc.any():
                     late_idx.extend((st + np.nonzero(late_loc)[0]).tolist())
                 keep = np.nonzero(~late_loc)[0]
@@ -499,7 +418,12 @@ class KeyedStateActor(Resettable):
                     due.append((s, ses))
                 else:
                     keep.append(ses)
-            self.sessions[s] = keep
+            # a source with no open session leaves no key: the sorted walk
+            # above is per live source, not per source ever seen
+            if keep:
+                self.sessions[s] = keep
+            else:
+                del self.sessions[s]
         if not due:
             return []
         from ..stages.detect import detect_wm_many
@@ -575,17 +499,7 @@ class KeyedStateActor(Resettable):
         watermark = self._clamp_wm(watermark)
         if cfg.window_kind == "session":
             return self._session_partial(batch)
-        ts = np.asarray(batch["event_ts"], dtype=np.int64)
-        src = np.asarray(batch["source"])
-        govern = self._governing(ts)
-        win_end = self._window_ends_vec(govern)
-        late = win_end <= watermark
-        late |= self._finalized_mask(src, govern)
-        if late.any():
-            self._note_late(batch.filter(pa.array(late)))
-            keep = ~late
-            batch = batch.filter(pa.array(keep))
-            ts, src, govern = ts[keep], src[keep], govern[keep]
+        batch, ts, src, govern = self._split_late(batch, watermark)
         out_src: list[str] = []
         out_win: list[int] = []
         hists: list[np.ndarray] = []
@@ -609,9 +523,7 @@ class KeyedStateActor(Resettable):
         out_src: list[str] = []
         spans: list[tuple[int, int]] = []
         hists: list[np.ndarray] = []
-        batch, frags, late_idx = self._session_fragments(
-            batch, lambda s: self.session_horizon.get(s, -(1 << 62))
-        )
+        batch, frags, late_idx = self._session_fragments(batch)
         for s, sub, tk, seg_starts, seg_ends, H in frags:
             for k, (a, b) in enumerate(zip(seg_starts, seg_ends)):
                 out_src.append(s)
@@ -641,7 +553,10 @@ class KeyedStateActor(Resettable):
             ts = np.asarray(t["event_ts"], dtype=np.int64)
             m = (ts >= lo) & (ts <= hi)
             rest = t.filter(pa.array(~m))
-            self._salted_rows[s] = [rest] if rest.num_rows else []
+            if rest.num_rows:
+                self._salted_rows[s] = [rest]
+            else:
+                del self._salted_rows[s]
             if not m.any():
                 continue
             rows = t.filter(pa.array(m))
@@ -691,15 +606,9 @@ class KeyedStateActor(Resettable):
         """End of stream: finalize every remaining window."""
         if self.cfg.window_kind == "session":
             out = self._finalize_sessions(1 << 62)
-            self.sessions.clear()
         else:
             out = self._finalize_upto(1 << 62)
         return self._divert(out)
-
-    def late_rows(self) -> pa.Table | None:
-        """Driver-collected late rows (None in sink mode, where late rows
-        live in the ``<sink_dir>/_late`` layout — ``read_late(out_dir)``)."""
-        return pa.concat_tables(self._late_mem) if self._late_mem else None
 
     def late_buffer_rows(self) -> int:
         """Rows currently held in the actor's late STAGE buffer (sink
@@ -718,27 +627,7 @@ class KeyedStateActor(Resettable):
             "n_emitted": self.n_emitted,
         }
 
-    # -- checkpoint / restore (pipelines/checkpoint.py) ----------------------
-
     _CKPT_FIELDS = (
         "hists", "buffers", "finalized", "_sticky", "_hist_horizon",
-        "sessions", "session_horizon", "n_late", "n_emitted", "wm",
-        "_salted_rows", "_outbox", "_late_mem",
+        "sessions", "session_horizon", "n_emitted", "_salted_rows", "_outbox",
     )
-
-    def checkpoint_state(self) -> bytes:
-        """Snapshot ALL mutable state.  Stage buffers flush to durable
-        staged files FIRST, so the checkpoint's staged-file manifest plus
-        this blob is the complete run state (nothing lives only in actor
-        memory when the snapshot publishes)."""
-        import pickle
-
-        self._flush_sink()
-        self._flush_late()
-        return pickle.dumps({k: getattr(self, k) for k in self._CKPT_FIELDS})
-
-    def restore_state(self, blob: bytes) -> None:
-        import pickle
-
-        for k, v in pickle.loads(blob).items():
-            setattr(self, k, v)

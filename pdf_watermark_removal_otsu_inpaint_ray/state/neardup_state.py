@@ -165,26 +165,9 @@ class NearDupWorker(_StagedEmitterBase):
     """One worker of the near-dup pool: DOC role (payload custody) and
     BAND role (kept-doc band index) in one actor, keyed independently."""
 
-    def __init__(
-        self,
-        *,
-        min_agree: int,
-        sink_dir: str | None = None,
-        sink_partitions: int = 8,
-        sink_stage_rows: int = 32768,
-        sink_done: frozenset[int] = frozenset(),
-        late_done: frozenset[int] = frozenset(),
-        sink_epoch: int = 0,
-    ):
+    def __init__(self, *, min_agree: int, **sink):
         self.min_agree = min_agree
-        self._init_staging(
-            sink_dir=sink_dir,
-            sink_partitions=sink_partitions,
-            sink_stage_rows=sink_stage_rows,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
+        self._init_staging(**sink)
         # DOC role
         self._pending: list[pa.Table] = []
         self._out: list[pa.Table] = []
@@ -224,11 +207,6 @@ class NearDupWorker(_StagedEmitterBase):
 
     def flush(self) -> list[pa.Table]:
         return self._out
-
-    def sink_flush(self) -> int:
-        self._flush_sink()
-        self._flush_late()
-        return self.n_kept
 
     # -- BAND role ----------------------------------------------------------
 
@@ -283,25 +261,13 @@ class NearDupWorker(_StagedEmitterBase):
                 self.n_band_entries += 1
         return self.n_band_entries
 
-    # -- checkpoint (shared contract with the other streaming actors) -------
-
     _CKPT_FIELDS = ("_pending", "_out", "n_kept", "n_dup", "_bands",
-                    "n_band_entries", "n_late", "wm", "_late_mem")
+                    "n_band_entries")
 
     def checkpoint_state(self) -> bytes:
-        import pickle
-
-        self._flush_sink()
-        self._flush_late()
         for ent in self._bands.values():
             ent[3] = None  # drop the lazy stacked caches from the snapshot
-        return pickle.dumps({k: getattr(self, k) for k in self._CKPT_FIELDS})
-
-    def restore_state(self, blob: bytes) -> None:
-        import pickle
-
-        for k, v in pickle.loads(blob).items():
-            setattr(self, k, v)
+        return super().checkpoint_state()
 
     def state_stats(self) -> dict:
         return {

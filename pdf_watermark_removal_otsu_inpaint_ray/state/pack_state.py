@@ -45,31 +45,13 @@ def _src_key64(src: str) -> int:
 
 @ray.remote
 class PackStateActor(_StagedEmitterBase):
-    def __init__(
-        self,
-        *,
-        length: int = 512,
-        sink_dir: str | None = None,
-        sink_partitions: int = 8,
-        sink_stage_rows: int = 32768,
-        sink_done: frozenset[int] = frozenset(),
-        late_done: frozenset[int] = frozenset(),
-        sink_epoch: int = 0,
-    ):
+    def __init__(self, *, length: int = 512, **sink):
         self.length = int(length)
-        self._init_staging(
-            sink_dir=sink_dir,
-            sink_partitions=sink_partitions,
-            sink_stage_rows=sink_stage_rows,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
+        self._init_staging(**sink)
         # source -> (carry tokens int64[<L], carry doc-change flags int64)
         self._carry: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._next_eid: dict[str, int] = {}
         self.n_rows = 0
-        self.n_late = 0
 
     def _pack_source(self, src: str, toks: np.ndarray, dchg: np.ndarray):
         """Append tokens to the source's carry, emit completed examples."""
@@ -184,29 +166,7 @@ class PackStateActor(_StagedEmitterBase):
         ) ^ mixed.astype(np.int64)
         return t.append_column("doc_id", pa.array(keys, pa.int64()))
 
-    def sink_flush(self) -> int:
-        self._flush_sink()
-        self._flush_late()
-        return self.n_rows
-
-    def checkpoint_state(self) -> bytes:
-        import pickle
-
-        self._flush_sink()
-        self._flush_late()
-        return pickle.dumps(
-            {
-                "_carry": self._carry,
-                "_next_eid": self._next_eid,
-                "n_rows": self.n_rows,
-            }
-        )
-
-    def restore_state(self, blob: bytes) -> None:
-        import pickle
-
-        for k, v in pickle.loads(blob).items():
-            setattr(self, k, v)
+    _CKPT_FIELDS = ("_carry", "_next_eid", "n_rows")
 
     def state_stats(self) -> dict:
         return {

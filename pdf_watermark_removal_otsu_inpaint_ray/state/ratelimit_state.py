@@ -47,23 +47,11 @@ class RateLimitStateActor(_StagedEmitterBase):
         group_col: str = "user_id",
         ts_col: str = "ts_us",
         seq_col: str = "event_id",
-        sink_dir: str | None = None,
-        sink_partitions: int = 8,
-        sink_stage_rows: int = 32768,
-        sink_done: frozenset[int] = frozenset(),
-        late_done: frozenset[int] = frozenset(),
-        sink_epoch: int = 0,
+        **sink,
     ):
         self.window_us, self.k = window_us, k
         self.group_col, self.ts_col, self.seq_col = group_col, ts_col, seq_col
-        self._init_staging(
-            sink_dir=sink_dir,
-            sink_partitions=sink_partitions,
-            sink_stage_rows=sink_stage_rows,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
+        self._init_staging(**sink)
         self._skey = np.zeros(0, np.int64)  # state: key column
         self._swin = np.zeros(0, np.int64)  # state: window column
         self._scnt = np.zeros(0, np.int64)  # admitted so far
@@ -174,27 +162,8 @@ class RateLimitStateActor(_StagedEmitterBase):
         self._sweep(1 << 62)
         return self._out
 
-    def sink_flush(self) -> int:
-        self._flush_sink()
-        self._flush_late()
-        return self.n_kept
-
     _CKPT_FIELDS = ("_skey", "_swin", "_scnt", "_pending", "_out",
-                    "finalized_upto", "n_kept", "n_capped", "n_late", "wm",
-                    "_late_mem")
-
-    def checkpoint_state(self) -> bytes:
-        import pickle
-
-        self._flush_sink()
-        self._flush_late()
-        return pickle.dumps({k: getattr(self, k) for k in self._CKPT_FIELDS})
-
-    def restore_state(self, blob: bytes) -> None:
-        import pickle
-
-        for k, v in pickle.loads(blob).items():
-            setattr(self, k, v)
+                    "finalized_upto", "n_kept", "n_capped")
 
     def state_stats(self) -> dict:
         return {

@@ -45,23 +45,11 @@ class SessionStatsActor(_StagedEmitterBase):
         group_col: str = "user_id",
         ts_col: str = "ts_us",
         seq_col: str = "event_id",
-        sink_dir: str | None = None,
-        sink_partitions: int = 8,
-        sink_stage_rows: int = 32768,
-        sink_done: frozenset[int] = frozenset(),
-        late_done: frozenset[int] = frozenset(),
-        sink_epoch: int = 0,
+        **sink,
     ):
         self.gap = int(gap)
         self.group_col, self.ts_col, self.seq_col = group_col, ts_col, seq_col
-        self._init_staging(
-            sink_dir=sink_dir,
-            sink_partitions=sink_partitions,
-            sink_stage_rows=sink_stage_rows,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
+        self._init_staging(**sink)
         # open-session state, aligned arrays sorted by key
         self._kid = np.zeros(0, np.int64)
         self._sid = np.zeros(0, np.int64)   # ordinal of the OPEN session
@@ -229,27 +217,8 @@ class SessionStatsActor(_StagedEmitterBase):
             out.extend(rest)
         return out
 
-    def sink_flush(self) -> int:
-        self._flush_sink()
-        self._flush_late()
-        return int(self._open.sum())
-
     _CKPT_FIELDS = ("_kid", "_sid", "_start", "_end", "_cnt", "_open",
-                    "_pending", "finalized_upto", "n_rows", "n_late", "wm",
-                    "_late_mem")
-
-    def checkpoint_state(self) -> bytes:
-        import pickle
-
-        self._flush_sink()
-        self._flush_late()
-        return pickle.dumps({k: getattr(self, k) for k in self._CKPT_FIELDS})
-
-    def restore_state(self, blob: bytes) -> None:
-        import pickle
-
-        for k, v in pickle.loads(blob).items():
-            setattr(self, k, v)
+                    "_pending", "finalized_upto", "n_rows")
 
     def state_stats(self) -> dict:
         return {

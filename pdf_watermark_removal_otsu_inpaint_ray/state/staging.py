@@ -1,14 +1,18 @@
-"""Shared staged-emitter plumbing of the streaming state actors.
+"""The base every streaming state actor inherits: sink staging, the late
+side output and checkpoint/restore, written once.
 
 Output rows divert to the exactly-once staged layout in sink mode (the
 driver only commits manifests); late rows route to the ``_late/`` side
 output under the same atomic protocol.  Actor memory for both is O(stage
-buffer), never O(stream).  Used by the interval/temporal join actors and
-the streaming dedup actor (KeyedStateActor predates this and carries its
-own staging fields with window-specific routing).
+buffer), never O(stream).  A subclass calls ``_init_staging(**sink)`` from
+its constructor (``sink`` is ``pipelines/streaming._sink_args``' shape;
+every key defaults to "no sink"), names its own mutable state in
+``_CKPT_FIELDS``, and keeps only its operator logic.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pyarrow as pa
@@ -17,21 +21,31 @@ _MIN = np.int64(-(1 << 62))
 
 
 class _StagedEmitterBase:
-    """Shared plumbing of the streaming join actors: output rows divert to
-    the exactly-once staged layout in sink mode (driver commits manifests
-    only), late rows route to the ``_late/`` side output; actor memory for
-    both is O(stage buffer), never O(stream)."""
+    """Sink staging, the counted late side output, the end-of-stream
+    ``sink_flush`` and the ``checkpoint_state`` / ``restore_state`` pair
+    shared by the streaming state actors.  A checkpointing subclass names
+    its mutable state in ``_CKPT_FIELDS``; the base's own (``n_late``,
+    ``wm``, ``_late_mem``) is snapshotted with it.  There is no default,
+    so an actor that never declared its state cannot snapshot a part of
+    it."""
 
     def _init_staging(
         self,
         *,
-        sink_dir: str | None,
-        sink_partitions: int,
-        sink_stage_rows: int,
-        sink_done: frozenset[int],
-        late_done: frozenset[int],
-        sink_epoch: int,
+        sink_dir: str | None = None,
+        sink_partitions: int = 8,
+        sink_stage_rows: int = 32768,
+        sink_done: frozenset[int] = frozenset(),
+        late_done: frozenset[int] = frozenset(),
+        sink_epoch: int = 0,
     ) -> None:
+        """``sink_dir``: when set, emitted rows flow DIRECTLY into the
+        exactly-once sink's staged layout from this actor (buffered to
+        ``sink_stage_rows`` to bound file counts) and late rows into
+        ``<sink_dir>/_late``.  ``sink_done`` / ``late_done``: committed
+        partitions of the two layouts (resume).  ``sink_epoch``: staging
+        epoch of the producing run (sinks/exactly_once.begin_epoch), which
+        lets finalize discard a crashed earlier attempt's staged rows."""
         self.sink_dir = sink_dir
         self.sink_partitions = sink_partitions
         self.sink_stage_rows = sink_stage_rows
@@ -70,6 +84,8 @@ class _StagedEmitterBase:
         return batch.filter(pa.array(keep)), ts[keep]
 
     def _divert(self, tables: list[pa.Table]) -> list[pa.Table]:
+        """In sink mode, stage emitted tables locally instead of returning
+        them (emitted rows never travel back through the driver)."""
         if self.sink_dir is None or not tables:
             return tables
         for t in tables:
@@ -118,4 +134,27 @@ class _StagedEmitterBase:
         )
 
     def late_rows(self) -> pa.Table | None:
+        """Driver-collected late rows (None in sink mode, where late rows
+        live in the ``<sink_dir>/_late`` layout — ``read_late(out_dir)``)."""
         return pa.concat_tables(self._late_mem) if self._late_mem else None
+
+    def sink_flush(self) -> None:
+        """End of stream: push any buffered emissions and late rows to the
+        staged layouts."""
+        self._flush_sink()
+        self._flush_late()
+
+    # -- checkpoint / restore (pipelines/streaming.py ``_drive``) ----------
+
+    def checkpoint_state(self) -> bytes:
+        """Snapshot all mutable state.  Stage buffers flush to durable
+        staged files FIRST, so the checkpoint's staged-file manifest plus
+        this blob is the complete run state (nothing lives only in actor
+        memory when the snapshot publishes)."""
+        self.sink_flush()
+        fields = ("n_late", "wm", "_late_mem") + self._CKPT_FIELDS
+        return pickle.dumps({k: getattr(self, k) for k in fields})
+
+    def restore_state(self, blob: bytes) -> None:
+        for k, v in pickle.loads(blob).items():
+            setattr(self, k, v)

@@ -50,14 +50,7 @@ class TopkStateActor(_StagedEmitterBase):
         # ws/slide overlapping windows (state multiplies by the overlap
         # factor — the documented cost of sliding aggregation)
     ):
-        self._init_staging(
-            sink_dir=None,
-            sink_partitions=8,
-            sink_stage_rows=32768,
-            sink_done=frozenset(),
-            late_done=frozenset(),
-            sink_epoch=0,
-        )
+        self._init_staging()
         self.window_size = int(window_size)
         self.slide = int(slide) if slide is not None else int(window_size)
         if self.slide <= 0 or self.slide > self.window_size:

@@ -55,24 +55,12 @@ class UpsertStateActor(_StagedEmitterBase):
         order_col: str = "ts_us",
         tiebreak_col: str = "event_id",
         compact_rows: int = 65536,
-        sink_dir: str | None = None,
-        sink_partitions: int = 8,
-        sink_stage_rows: int = 32768,
-        sink_done: frozenset[int] = frozenset(),
-        late_done: frozenset[int] = frozenset(),
-        sink_epoch: int = 0,
+        **sink,
     ):
         self.group_col, self.order_col = group_col, order_col
         self.tiebreak_col = tiebreak_col
         self.compact_rows = compact_rows
-        self._init_staging(
-            sink_dir=sink_dir,
-            sink_partitions=sink_partitions,
-            sink_stage_rows=sink_stage_rows,
-            sink_done=sink_done,
-            late_done=late_done,
-            sink_epoch=sink_epoch,
-        )
+        self._init_staging(**sink)
         self._state: pa.Table | None = None
         self._delta: list[pa.Table] = []
         self._delta_rows = 0
@@ -113,26 +101,7 @@ class UpsertStateActor(_StagedEmitterBase):
             out = out.append_column("doc_id", out[self.group_col].cast(pa.int64()))
         return self._divert([out])
 
-    def sink_flush(self) -> int:
-        self._flush_sink()
-        self._flush_late()
-        return 0 if self._state is None else self._state.num_rows
-
-    _CKPT_FIELDS = ("_state", "_delta", "_delta_rows", "n_rows", "wm", "n_late",
-                    "_late_mem")
-
-    def checkpoint_state(self) -> bytes:
-        import pickle
-
-        self._flush_sink()
-        self._flush_late()
-        return pickle.dumps({k: getattr(self, k) for k in self._CKPT_FIELDS})
-
-    def restore_state(self, blob: bytes) -> None:
-        import pickle
-
-        for k, v in pickle.loads(blob).items():
-            setattr(self, k, v)
+    _CKPT_FIELDS = ("_state", "_delta", "_delta_rows", "n_rows")
 
     def state_stats(self) -> dict:
         return {

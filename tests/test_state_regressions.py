@@ -4,8 +4,12 @@
    (end > watermark) can legally receive on-time rows, so its histogram must
    survive earlier finalizations;
 2. the actor watermark is monotonic — a stale (smaller) caller watermark from
-   a parallel consumer must not re-open an already-finalized window.
+   a parallel consumer must not re-open an already-finalized window;
+3. session state is per live source — a source whose sessions all closed
+   keeps no key, so a stream of ever-new sources does not grow it.
 """
+
+import pickle
 
 import numpy as np
 import pyarrow as pa
@@ -77,3 +81,50 @@ def test_watermark_is_monotonic_across_consumers(ray_session):
     assert total == 1  # window 0 emitted exactly once; no duplicate emission
     late = ray.get(actor.late_rows.remote())
     assert late is not None and late["doc_id"].to_pylist() == ["d6"]
+
+
+def _source_batch(i: int, n_sources: int) -> pa.Table:
+    """Batch ``i`` of a rotating-source stream: one row for each of
+    ``n_sources`` sources seen in no other batch, at ts 100*i + j."""
+    srcs = [f"s{i}_{j}" for j in range(n_sources)]
+    return pa.table(
+        {
+            "doc_id": pa.array([f"d{i}_{j}" for j in range(n_sources)], pa.string()),
+            "tokens": pa.array([[50] * 20] * n_sources, pa.list_(pa.int32())),
+            "n_tok": pa.array([20] * n_sources, pa.int32()),
+            "source": pa.array(srcs, pa.string()),
+            "event_ts": pa.array([100 * i + j for j in range(n_sources)], pa.int64()),
+        }
+    )
+
+
+def test_session_state_keeps_only_live_sources(ray_session):
+    """40 batches of 50 new sources each, every batch ingested under a
+    watermark that closes all sessions of the batch before it: only the
+    last batch's sources still have an open session, and only they may
+    hold a key in the session state (unsalted ``sessions`` and the salted
+    path's ``_salted_rows``)."""
+    cfg = DEFAULT_CONFIG.with_(window_kind="session", session_gap=10, allowed_lateness=0)
+    n_batches, n_sources = 40, 50
+    batches = [_source_batch(i, n_sources) for i in range(n_batches)]
+    live = {f"s{n_batches - 1}_{j}" for j in range(n_sources)}
+
+    actor = KeyedStateActor.remote(cfg)
+    for i, b in enumerate(batches):
+        _emitted, n_late = ray.get(actor.ingest.remote(b, 100 * i - 1))
+        assert n_late == 0
+    state = pickle.loads(ray.get(actor.checkpoint_state.remote()))
+    assert set(state["sessions"]) == live
+    assert all(state["sessions"].values())
+
+    salted = KeyedStateActor.remote(cfg)
+    for i, b in enumerate(batches):
+        ray.get(salted.ingest_partial.remote(b, 100 * i - 1))
+    closed = [
+        (s, ts, ts, -1)
+        for b in batches[:-1]
+        for s, ts in zip(b["source"].to_pylist(), b["event_ts"].to_pylist())
+    ]
+    ray.get(salted.finalize_sessions_salted.remote(closed))
+    state = pickle.loads(ray.get(salted.checkpoint_state.remote()))
+    assert set(state["_salted_rows"]) == live

@@ -122,14 +122,20 @@ def test_streaming_attribution_late_routing(ray_session):
     assert res.output.num_rows + late_conv == n_conv
 
 
-def test_streaming_attribution_sink_and_resume(ray_session, tmp_path):
+@pytest.mark.parametrize("rule", ["last", "first"])
+def test_streaming_attribution_sink_and_resume(ray_session, tmp_path, rule):
+    """Sink mode equals the batch twin of ``rule``, and a run killed after
+    a checkpoint resumes to the same committed bytes as a clean run."""
     from pdf_watermark_removal_otsu_inpaint_ray.sinks.exactly_once import (
         read_output,
     )
 
     tbl = _stream(seed=17)
-    want = _batch_twin(tbl)
-    kw = dict(window=W, allowed_lateness=16, n_actors=3, micro_batch_rows=32)
+    want = (_batch_twin if rule == "last" else _batch_first_twin)(tbl)
+    kw = dict(
+        rule=rule, window=W, allowed_lateness=16, n_actors=3,
+        micro_batch_rows=32,
+    )
     clean = str(tmp_path / "attr_clean")
     res = run_streaming_attribution(
         ray.data.from_arrow(tbl), out_dir=clean, **kw
