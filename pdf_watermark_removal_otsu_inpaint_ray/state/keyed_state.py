@@ -10,12 +10,16 @@ live (source, window):
 When the global event-time watermark passes a window's end, the actor derives
 the watermark token (Otsu rule, watermark_detector.py:172-189), rewrites the
 buffered rows with the fused inpaint kernel, emits them, and **evicts** the
-state — watermark-driven eviction per SURVEY.md §2.9.  Rows whose governing
-window already finalized are routed to the late-data side output (counted,
-never silently dropped).  Sink staging, that side output and
-checkpoint/restore are the shared state-actor base's
-(:class:`.staging._StagedEmitterBase`); this module holds only the window
-and session logic.
+state — watermark-driven eviction per SURVEY.md §2.9.  Every finalize path
+(keyed ingest and flush, the salted fan-out, both session paths) decides each
+due window's or session's token first and then rewrites the whole round
+through :meth:`KeyedStateActor._rewrite_parts`: one kernel call per
+``_FUSED_REWRITE_ROWS`` rows with a per-row token vector, not one call per
+(typically small) window.  Rows whose governing window already finalized
+are routed to the late-data side output (counted, never silently dropped).
+Sink staging, that side output and checkpoint/restore are the shared
+state-actor base's (:class:`.staging._StagedEmitterBase`); this module
+holds only the window and session logic.
 
 Skew note (§4.2): sources are Zipf-skewed; the key → actor routing hashes
 ``source`` so hot sources can be salted by the caller into sub-keys (the
@@ -39,6 +43,14 @@ from ..stages.kernels import (
 )
 from . import Resettable
 from .staging import _StagedEmitterBase
+
+# Most rows one kernel call rewrites when a finalize round fuses its windows
+# (see ``KeyedStateActor._rewrite_parts``).  It bounds the kernel's
+# per-position temporaries: fusing a whole round unbounded raised the
+# enginebench salted sliding stream's peak RSS by 7-10%, while 512 rows per
+# call keep it within 1-4% and keep the per-call saving.  A constant, not a
+# knob: the memory bound must not depend on configuration.
+_FUSED_REWRITE_ROWS = 512
 
 
 def merge_session_intervals(frags: list[dict], gap: int) -> list[dict]:
@@ -270,8 +282,11 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
     # -- finalize / evict -------------------------------------------------
 
     def _finalize_upto(self, watermark: int) -> list[pa.Table]:
+        """Finalize every buffered window with end <= ``watermark``: decide
+        each one's token in ascending key order (:meth:`_emit_window`),
+        then rewrite them all in one fused round (:meth:`_rewrite_parts`),
+        and evict the due hists.  Returns the round's output tables."""
         cfg = self.cfg
-        out = []
         if cfg.detection_mode == "sticky" and self._fixed_wm() is None:
             # golden.apply_sticky scans EVERY window ascending — including
             # sliding windows that only ever CONTRIBUTED (no governing rows
@@ -288,9 +303,8 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
                     wm_tok, _cov = detect_wm_token(self.hists[key], cfg)
                     if wm_tok >= 0:
                         self._sticky[key[0]] = (wm_tok, key[1])
-        due = [k for k in self.buffers if _window_end(k[1], cfg) <= watermark]
-        for key in sorted(due):
-            out.append(self._emit_window(key))
+        due = sorted(k for k in self.buffers if _window_end(k[1], cfg) <= watermark)
+        out = self._rewrite_parts([self._emit_window(key) for key in due])
         if cfg.window_kind == "sliding":
             # Evict a sliding hist only once its window can no longer accept
             # rows — the same window-end-vs-watermark predicate that governs
@@ -304,9 +318,13 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
         self._hist_horizon = max(self._hist_horizon, watermark)
         return out
 
-    def _emit_window(self, key: tuple[str, int]) -> pa.Table:
+    def _emit_window(self, key: tuple[str, int]) -> tuple[list[pa.Table], int]:
+        """Take window ``key`` out of the actor: decide its wm token, mark
+        it finalized and evict its buffer and hist.  Returns the
+        ``(buffered tables, wm_token)`` part the caller's fused rewrite
+        emits.  Callers go in ascending key order, which the sticky rule
+        below relies on."""
         cfg = self.cfg
-        rows = pa.concat_tables(self.buffers.pop(key))
         hist = self.hists.get(key)
         fixed = self._fixed_wm()
         # sticky mode: first detection wins per source FROM ITS WINDOW
@@ -324,14 +342,12 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
             wm_tok, _cov = detect_wm_token(hist, cfg) if hist is not None else (-1, 0.0)
             if cfg.detection_mode == "sticky" and wm_tok >= 0 and st is None:
                 self._sticky[key[0]] = (wm_tok, key[1])
-        out = self._rewrite_rows(rows, np.full(rows.num_rows, wm_tok, dtype=np.int64))
         # evict this window's hist; further sliding-hist eviction is
         # watermark-gated in _finalize_upto (a hist with window end past the
         # watermark may still receive on-time rows)
         self.finalized.add(key)
         self.hists.pop(key, None)
-        self.n_emitted += out.num_rows
-        return out
+        return self.buffers.pop(key), int(wm_tok)
 
     # -- session windows (gap-merge; reference analog: per-document QR
     # accumulation reset by clear_qr_codes(), watermark_detector.py:143-145) --
@@ -403,12 +419,12 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
         return batch, frags, late_idx
 
     def _finalize_sessions(self, watermark: int) -> list[pa.Table]:
-        """Emit every closed session in ONE fused rewrite: due sessions'
-        histograms stack into a single vectorized detection
-        (detect_wm_many == detect_wm_token per row), their buffered tables
-        concat once, and process_batch_flat runs once with a per-row wm
-        vector — per-session kernel overhead does not scale with the number
-        of (typically small) sessions."""
+        """Emit every closed session: due sessions' histograms stack into a
+        single vectorized detection (detect_wm_many == detect_wm_token per
+        row), sticky applies per source in ascending start order, and the
+        sessions' rows go through the shared fused rewrite
+        (:meth:`_rewrite_parts`) — per-session kernel overhead does not
+        scale with the number of (typically small) sessions."""
         cfg = self.cfg
         due: list[tuple[str, dict]] = []
         for s in sorted(self.sessions):
@@ -446,18 +462,42 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
                         wm_arr[i] = self._sticky[s]
                     elif wm_arr[i] >= 0:
                         self._sticky[s] = int(wm_arr[i])
-        tables, wm_rows = [], []
-        for (s, ses), wm_tok in zip(due, wm_arr):
-            t = pa.concat_tables(ses["tables"])
-            tables.append(t)
-            wm_rows.append(np.full(t.num_rows, int(wm_tok), dtype=np.int64))
+        for s, ses in due:
             self.session_horizon[s] = max(
                 self.session_horizon.get(s, -(1 << 62)), ses["last"] + cfg.session_gap
             )
+        return self._rewrite_parts(
+            [(ses["tables"], int(wm_tok)) for (_s, ses), wm_tok in zip(due, wm_arr)]
+        )
+
+    def _rewrite_parts(
+        self, parts: list[tuple[list[pa.Table], int | np.ndarray]]
+    ) -> list[pa.Table]:
+        """The one rewrite of a finalize round.  ``parts``: ``(tables,
+        wm)`` per due window or session, in emit order; ``wm`` is the
+        part's token, or a token per row.  The parts concatenate (zero
+        copy) and the kernel runs once per ``_FUSED_REWRITE_ROWS`` rows
+        with a per-row wm vector.  Exact because process_batch_flat is
+        row-local: a row's output depends only on its own tokens and wm
+        token, so where the group boundaries fall cannot change it.
+        Counts the rows into ``n_emitted``; returns the output tables in
+        part order."""
+        tables, wm_parts = [], []
+        for part_tables, wm in parts:
+            n = sum(t.num_rows for t in part_tables)
+            if n:
+                tables.extend(part_tables)
+                wm_parts.append(np.broadcast_to(np.asarray(wm, dtype=np.int64), n))
+        if not tables:
+            return []
         rows = pa.concat_tables(tables)
-        res = self._rewrite_rows(rows, np.concatenate(wm_rows))
+        wm_row = np.concatenate(wm_parts)
         self.n_emitted += rows.num_rows
-        return [res]
+        cap = _FUSED_REWRITE_ROWS
+        return [
+            self._rewrite_rows(rows.slice(a, cap), wm_row[a : a + cap])
+            for a in range(0, rows.num_rows, cap)
+        ]
 
     def _rewrite_rows(self, rows: pa.Table, wm_row: np.ndarray) -> pa.Table:
         cfg = self.cfg
@@ -540,48 +580,49 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
     ) -> list[pa.Table]:
         """Rewrite + emit + evict this actor's buffered rows of each closed
         session ``(source, lo, hi, wm_token)`` (rows with lo <= ts <= hi),
-        and record the source's closed horizon ``hi + session_gap``."""
-        out = []
+        and record each source's closed horizon ``hi + session_gap``.  A
+        source's buffer concatenates and filters once per call: its closed
+        sessions are disjoint intervals, so one ``searchsorted`` over their
+        sorted starts gives every row its session (and token) or none."""
+        gap = self.cfg.session_gap
+        closed: dict[str, list[tuple[int, int, int]]] = {}
         for s, lo, hi, wm_tok in items:
+            closed.setdefault(s, []).append((lo, hi, wm_tok))
+        parts = []
+        for s in sorted(closed):
+            lo, hi, tok = np.array(sorted(closed[s]), dtype=np.int64).T
             self.session_horizon[s] = max(
-                self.session_horizon.get(s, -(1 << 62)), hi + self.cfg.session_gap
+                self.session_horizon.get(s, -(1 << 62)), int(hi.max()) + gap
             )
             tables = self._salted_rows.get(s)
             if not tables:
                 continue
             t = pa.concat_tables(tables)
             ts = np.asarray(t["event_ts"], dtype=np.int64)
-            m = (ts >= lo) & (ts <= hi)
+            ses = np.searchsorted(lo, ts, side="right") - 1
+            m = (ses >= 0) & (ts <= hi[np.maximum(ses, 0)])
             rest = t.filter(pa.array(~m))
             if rest.num_rows:
                 self._salted_rows[s] = [rest]
             else:
                 del self._salted_rows[s]
-            if not m.any():
-                continue
-            rows = t.filter(pa.array(m))
-            out.append(
-                self._rewrite_rows(rows, np.full(rows.num_rows, int(wm_tok), dtype=np.int64))
-            )
-            self.n_emitted += rows.num_rows
-        return self._divert(out)
+            if m.any():
+                parts.append(([t.filter(pa.array(m))], tok[ses[m]]))
+        return self._divert(self._rewrite_parts(parts))
 
     def finalize_windows(self, wm_items: list[tuple[str, int, int]]) -> list[pa.Table]:
         """Rewrite + emit + evict the given (source, window, wm_token) keys
-        (only those this actor buffered)."""
-        out = []
+        (only those this actor buffered) in one fused rewrite
+        (:meth:`_rewrite_parts`); every key is marked finalized, so a
+        straggler row for it goes to the late side output."""
+        parts = []
         for s, w, wm_tok in wm_items:
             key = (s, w)
             self.finalized.add(key)
             tables = self.buffers.pop(key, None)
-            if not tables:
-                continue
-            rows = pa.concat_tables(tables)
-            out.append(
-                self._rewrite_rows(rows, np.full(rows.num_rows, wm_tok, dtype=np.int64))
-            )
-            self.n_emitted += rows.num_rows
-        return self._divert(out)
+            if tables:
+                parts.append((tables, wm_tok))
+        return self._divert(self._rewrite_parts(parts))
 
     def buffered_keys(self) -> list[tuple[str, int]]:
         return sorted(self.buffers)
