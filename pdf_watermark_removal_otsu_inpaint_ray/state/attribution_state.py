@@ -4,9 +4,9 @@ tier — every conversion credited to its group's most recent touch
 at-or-before it (within the window) over a live, disordered stream.
 
 Rows route to actors by KEY hash (a key's whole history meets one
-actor); a row is processed only once the watermark passes its timestamp
-(no earlier-ts row can still arrive), so event-time order holds ACROSS
-sweeps: every previously finalized row's ts is ≤ the current
+actor); the event-time gate (``staging._SweepGateBase``) releases a row
+only once the watermark passes its timestamp, so event-time order holds
+ACROSS sweeps: every previously finalized row's ts is ≤ the current
 ``finalized_upto`` and every newly ready row's ts is above it.  That
 gives the one-pass recurrence its correctness:
 
@@ -20,11 +20,10 @@ gives the one-pass recurrence its correctness:
 
 Attribution rows emit INCREMENTALLY as their conversions finalize
 (conversion-scale output: driver-collected in small runs, sink-direct
-staged in sink mode — doc_id = the conversion's unique seq).  Rows
-arriving at-or-under ``finalized_upto`` are LATE (counted + routed to
-the side output).  With lateness covering the stream's disorder the
-emitted set is byte-equal to the batch operator — one definition, two
-execution tiers, one SQL twin.
+staged in sink mode — doc_id = the conversion's unique seq).  Late rows
+go to the gate's counted side output.  With lateness covering the
+stream's disorder the emitted set is byte-equal to the batch operator —
+one definition, two execution tiers, one SQL twin.
 
 Reference analog: the sticky "most recent detection wins" crediting of
 the cross-page chain (watermark_detector.py), keyed and windowed.
@@ -38,13 +37,11 @@ import pyarrow.compute as pc
 
 import ray
 
-from .staging import _StagedEmitterBase
-
-_MIN = np.int64(-(1 << 62))
+from .staging import _EOS, _MIN, _SweepGateBase, grow_sorted_keys
 
 
 @ray.remote
-class AttributionStateActor(_StagedEmitterBase):
+class AttributionStateActor(_SweepGateBase):
     def __init__(
         self,
         *,
@@ -61,46 +58,24 @@ class AttributionStateActor(_StagedEmitterBase):
         self.window = int(window)
         self.group_col, self.ts_col = group_col, ts_col
         self.seq_col, self.type_col = seq_col, type_col
-        self._init_staging(**sink)
+        self._init_gate(**sink)
         self._kid = np.zeros(0, np.int64)
         self._c_ts = np.zeros(0, np.int64)  # carry: latest finalized touch
         self._c_seq = np.zeros(0, np.int64)
-        self._pending: list[pa.Table] = []
-        self.finalized_upto = int(_MIN)
         self.n_rows = 0
 
     def ingest(self, batch: pa.Table, watermark: int) -> list[pa.Table]:
         """Absorb a micro-batch, attribute every conversion the watermark
         finalized.  Returns the emitted attribution tables (empty in sink
         mode — they stage directly)."""
-        self.wm = max(self.wm, watermark)
-        ts = np.asarray(batch[self.ts_col], np.int64)
-        late = ts <= self.finalized_upto
-        if late.any():
-            lb = batch.filter(pa.array(late))
-            self._note_late(
-                lb.append_column("doc_id", lb[self.seq_col].cast(pa.int64()))
-            )
-            batch = batch.filter(pa.array(~late))
-        if batch.num_rows:
-            self._pending.append(batch)
+        self._gate(batch, watermark)
         return self._sweep(self.wm)
 
     def _sweep(self, wm: int) -> list[pa.Table]:
-        if not self._pending:
-            self.finalized_upto = max(self.finalized_upto, wm)
+        ready = self._ready(wm)
+        if ready is None:
             return []
-        pend = pa.concat_tables(self._pending)
-        ts = np.asarray(pend[self.ts_col], np.int64)
-        ready_mask = ts <= wm
-        if not ready_mask.any():
-            self.finalized_upto = max(self.finalized_upto, wm)
-            return []
-        ready = pend.filter(pa.array(ready_mask))
-        rest = pend.filter(pa.array(~ready_mask))
-        self._pending = [rest] if rest.num_rows else []
         self.n_rows += int(ready.num_rows)
-        self.finalized_upto = max(self.finalized_upto, wm)
 
         keys = np.asarray(ready[self.group_col], np.int64)
         rts = np.asarray(ready[self.ts_col], np.int64)
@@ -112,16 +87,9 @@ class AttributionStateActor(_StagedEmitterBase):
         is_conv = np.asarray(pc.equal(typ, self.convert))[idx]
 
         # union new keys into the sorted carry state
-        new = np.setdiff1d(np.unique(keys), self._kid, assume_unique=True)
-        if new.size:
-            merged = np.union1d(self._kid, new)
-            c_ts = np.full(merged.size, _MIN, np.int64)
-            c_seq = np.full(merged.size, _MIN, np.int64)
-            if self._kid.size:
-                at = np.searchsorted(merged, self._kid)
-                c_ts[at] = self._c_ts
-                c_seq[at] = self._c_seq
-            self._kid, self._c_ts, self._c_seq = merged, c_ts, c_seq
+        self._kid, (self._c_ts, self._c_seq) = grow_sorted_keys(
+            self._kid, keys, [(self._c_ts, _MIN), (self._c_seq, _MIN)]
+        )
         kidx = np.searchsorted(self._kid, keys)
 
         n = keys.size
@@ -174,7 +142,7 @@ class AttributionStateActor(_StagedEmitterBase):
 
     def flush(self) -> list[pa.Table]:
         """End of stream: attribute everything still pending."""
-        return self._sweep(1 << 62)
+        return self._sweep(_EOS)
 
     _CKPT_FIELDS = ("_kid", "_c_ts", "_c_seq", "_pending", "finalized_upto",
                     "n_rows")
@@ -184,5 +152,5 @@ class AttributionStateActor(_StagedEmitterBase):
             "n_rows": self.n_rows,
             "n_late": self.n_late,
             "state_keys": int(self._kid.size),
-            "pending_rows": int(sum(t.num_rows for t in self._pending)),
+            "pending_rows": self._pending_rows(),
         }

@@ -10,11 +10,12 @@ Semantics (deterministic in EVENT time, never arrival time): order rows by
 ``(event_ts, doc_id)``; per identity, a row is kept iff the identity was
 never kept before, or its ``event_ts`` exceeds the last KEPT occurrence's
 by more than ``horizon`` (the chain restarts at each kept row —
-``horizon=None`` means keep-first-forever).  A row is admitted into that
-order only once the watermark passes its timestamp (no earlier-ts row can
-still arrive), which is what makes the decision arrival-order-free; rows
-arriving after their decision epoch are LATE (counted + routed, exactly
-like window rows in :mod:`.keyed_state`).
+``horizon=None`` means keep-first-forever).  The event-time gate
+(``staging._SweepGateBase``) admits a row into that order only once the
+watermark passes its timestamp (no earlier-ts row can still arrive),
+which is what makes the decision arrival-order-free; rows arriving after
+their decision epoch are LATE (counted + routed by the gate, keeping
+their own ``doc_id``).
 
 State per actor: ONE sorted int64 array pair (identity → last-kept ts).
 Rows route to actors by identity hash, so all occurrences of an identity
@@ -37,9 +38,7 @@ import pyarrow as pa
 
 import ray
 
-from .staging import _StagedEmitterBase
-
-_MIN = np.int64(-(1 << 62))
+from .staging import _EOS, _MIN, _SweepGateBase
 
 
 def _splitmix_route(ids: np.ndarray, n: int) -> np.ndarray:
@@ -75,7 +74,7 @@ def serial_dedup_mask(
 
 
 @ray.remote
-class DedupStateActor(_StagedEmitterBase):
+class DedupStateActor(_SweepGateBase):
     def __init__(
         self,
         *,
@@ -87,13 +86,10 @@ class DedupStateActor(_StagedEmitterBase):
     ):
         self.horizon = horizon
         self.id_col, self.ts_col, self.seq_col = id_col, ts_col, seq_col
-        self._init_staging(**sink)
+        self._init_gate(**sink)
         # identity state: parallel sorted arrays (id → last kept event_ts)
         self._sid = np.zeros(0, np.int64)
         self._sts = np.zeros(0, np.int64)
-        self._pending: list[pa.Table] = []
-        # watermark of the last completed sweep: rows at/below it are late
-        self.finalized_upto = int(_MIN)
         self.n_kept = 0
         self.n_dup = 0
 
@@ -102,35 +98,19 @@ class DedupStateActor(_StagedEmitterBase):
     def ingest(self, batch: pa.Table, watermark: int) -> tuple[list[pa.Table], int, int]:
         """Absorb a micro-batch, sweep every row the watermark passed.
         Returns (kept tables — empty in sink mode, n_dup, n_late)."""
-        self.wm = max(self.wm, watermark)
-        ts = np.asarray(batch[self.ts_col], np.int64)
-        late = ts <= self.finalized_upto
-        if late.any():
-            self._note_late(batch.filter(pa.array(late)))
-            batch = batch.filter(pa.array(~late))
-        if batch.num_rows:
-            self._pending.append(batch)
+        self._gate(batch, watermark)
         kept = self._sweep(self.wm)
         return self._divert(kept), self.n_dup, self.n_late
 
     def _sweep(self, wm: int) -> list[pa.Table]:
         """Finalize pending rows with ts <= wm in (ts, seq) event order,
         chain them through the identity state, evict expired state."""
-        if not self._pending:
-            self.finalized_upto = max(self.finalized_upto, wm)
+        ready = self._ready(wm)
+        if ready is None:
             return []
-        pend = pa.concat_tables(self._pending)
-        ts = np.asarray(pend[self.ts_col], np.int64)
-        ready_mask = ts <= wm
-        if not ready_mask.any():
-            self.finalized_upto = max(self.finalized_upto, wm)
-            return []
-        ready = pend.filter(pa.array(ready_mask))
-        rest = pend.filter(pa.array(~ready_mask))
-        self._pending = [rest] if rest.num_rows else []
 
         ids = np.asarray(ready[self.id_col], np.int64)
-        rts = ts[ready_mask]
+        rts = np.asarray(ready[self.ts_col], np.int64)
         seq = np.asarray(ready[self.seq_col], np.int64)
         n = len(ids)
         order = np.lexsort((seq, rts, ids))
@@ -210,13 +190,12 @@ class DedupStateActor(_StagedEmitterBase):
         keep[order] = keep_s
         self.n_kept += int(keep.sum())
         self.n_dup += int(n - keep.sum())
-        self.finalized_upto = max(self.finalized_upto, wm)
         out = ready.filter(pa.array(keep))
         return [out] if out.num_rows else []
 
     def flush(self) -> list[pa.Table]:
         """End of stream: sweep everything still pending."""
-        return self._divert(self._sweep(1 << 62))
+        return self._divert(self._sweep(_EOS))
 
     _CKPT_FIELDS = ("_sid", "_sts", "_pending", "finalized_upto",
                     "n_kept", "n_dup")
@@ -227,5 +206,5 @@ class DedupStateActor(_StagedEmitterBase):
             "n_dup": self.n_dup,
             "n_late": self.n_late,
             "state_ids": int(self._sid.size),
-            "pending_rows": int(sum(t.num_rows for t in self._pending)),
+            "pending_rows": self._pending_rows(),
         }

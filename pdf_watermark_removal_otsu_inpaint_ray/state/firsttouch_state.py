@@ -21,9 +21,10 @@ Frame correctness across sweeps: a conversion finalizes when
 ``wm ≥ ts_c``; any frame touch has ``ts ≤ ts_c ≤ wm`` so it is
 finalized in the same-or-earlier sweep (a same-ts touch arriving later
 would be LATE by definition) — the merged index is complete when
-queried.  Rows at-or-under ``finalized_upto`` route to the late side
-output.  With lateness covering disorder, emitted set == batch twin —
-one definition, two execution tiers, one SQL twin.
+queried.  Release order and the late side output are the event-time
+gate's (``staging._SweepGateBase``).  With lateness covering disorder,
+emitted set == batch twin — one definition, two execution tiers, one
+SQL twin.
 """
 
 from __future__ import annotations
@@ -34,13 +35,11 @@ import pyarrow.compute as pc
 
 import ray
 
-from .staging import _StagedEmitterBase
-
-_MIN = np.int64(-(1 << 62))
+from .staging import _EOS, _MIN, _SweepGateBase
 
 
 @ray.remote
-class FirstTouchStateActor(_StagedEmitterBase):
+class FirstTouchStateActor(_SweepGateBase):
     def __init__(
         self,
         *,
@@ -57,47 +56,24 @@ class FirstTouchStateActor(_StagedEmitterBase):
         self.window = int(window)
         self.group_col, self.ts_col = group_col, ts_col
         self.seq_col, self.type_col = seq_col, type_col
-        self._init_staging(**sink)
+        self._init_gate(**sink)
         # horizon index: touches sorted by (key, ts, seq)
         self._t_key = np.zeros(0, np.int64)
         self._t_ts = np.zeros(0, np.int64)
         self._t_seq = np.zeros(0, np.int64)
-        self._pending: list[pa.Table] = []
-        self.finalized_upto = int(_MIN)
         self.n_rows = 0
         self.evicted = 0
 
     def ingest(self, batch: pa.Table, watermark: int) -> list[pa.Table]:
-        self.wm = max(self.wm, watermark)
-        ts = np.asarray(batch[self.ts_col], np.int64)
-        late = ts <= self.finalized_upto
-        if late.any():
-            lb = batch.filter(pa.array(late))
-            self._note_late(
-                lb.append_column("doc_id", lb[self.seq_col].cast(pa.int64()))
-            )
-            batch = batch.filter(pa.array(~late))
-        if batch.num_rows:
-            self._pending.append(batch)
+        self._gate(batch, watermark)
         return self._sweep(self.wm)
 
     def _sweep(self, wm: int) -> list[pa.Table]:
-        if not self._pending:
-            self.finalized_upto = max(self.finalized_upto, wm)
+        ready = self._ready(wm)
+        if ready is None:
             self._evict(wm)
             return []
-        pend = pa.concat_tables(self._pending)
-        ts = np.asarray(pend[self.ts_col], np.int64)
-        ready_mask = ts <= wm
-        if not ready_mask.any():
-            self.finalized_upto = max(self.finalized_upto, wm)
-            self._evict(wm)
-            return []
-        ready = pend.filter(pa.array(ready_mask))
-        rest = pend.filter(pa.array(~ready_mask))
-        self._pending = [rest] if rest.num_rows else []
         self.n_rows += int(ready.num_rows)
-        self.finalized_upto = max(self.finalized_upto, wm)
 
         keys = np.asarray(ready[self.group_col], np.int64)
         rts = np.asarray(ready[self.ts_col], np.int64)
@@ -199,7 +175,7 @@ class FirstTouchStateActor(_StagedEmitterBase):
             self._t_seq = self._t_seq[keep]
 
     def flush(self) -> list[pa.Table]:
-        return self._sweep(1 << 62)
+        return self._sweep(_EOS)
 
     _CKPT_FIELDS = ("_t_key", "_t_ts", "_t_seq", "_pending",
                     "finalized_upto", "n_rows", "evicted")
@@ -210,5 +186,5 @@ class FirstTouchStateActor(_StagedEmitterBase):
             "n_late": self.n_late,
             "state_touches": int(self._t_key.size),
             "evicted": self.evicted,
-            "pending_rows": int(sum(t.num_rows for t in self._pending)),
+            "pending_rows": self._pending_rows(),
         }

@@ -5,10 +5,10 @@ lifted into the streaming tier (§2.9 × the sticky first-hit-wins chain of
 Per group key, track the first ``steps[0]`` event, then the first
 ``steps[1]`` STRICTLY after it, and so on — greedy ``MATCH_RECOGNIZE``
 A → B → C over a live, disordered stream.  Rows route to actors by KEY
-hash so a key's whole event history meets one actor; a row enters the
-chain only once the watermark passes its timestamp (no earlier-ts row can
-still arrive), which makes each stage threshold FINAL the moment it is
-set:
+hash so a key's whole event history meets one actor; the event-time gate
+(``staging._SweepGateBase``) lets a row into the chain only once the
+watermark passes its timestamp (no earlier-ts row can still arrive),
+which makes each stage threshold FINAL the moment it is set:
 
 * a stage threshold is the min event time over qualifying rows of a
   complete event-time prefix; rows finalized later carry strictly larger
@@ -23,11 +23,10 @@ Both facts together mean the sweep needs NO sort: one boolean mask +
 operator's kernel, chained through state instead of a co-located group.
 
 State per actor: one sorted int64 key array + an (n_keys × n_steps)
-threshold matrix — O(distinct keys), never O(stream).  Rows arriving
-after their decision epoch are LATE (counted + routed to the side
-output).  The funnel row set emits at end-of-stream flush (one row per
-distinct key, stage-0 keys included, matching the batch twin's
-DISTINCT-keys LEFT JOIN shape).
+threshold matrix — O(distinct keys), never O(stream).  Late rows go to
+the gate's counted side output.  The funnel row set emits at
+end-of-stream flush (one row per distinct key, stage-0 keys included,
+matching the batch twin's DISTINCT-keys LEFT JOIN shape).
 """
 
 from __future__ import annotations
@@ -38,14 +37,13 @@ import pyarrow.compute as pc
 
 import ray
 
-from .staging import _StagedEmitterBase
+from .staging import _EOS, _MIN, _SweepGateBase, grow_sorted_keys
 
-_MIN = np.int64(-(1 << 62))
 _I64_MAX = np.iinfo(np.int64).max
 
 
 @ray.remote
-class FunnelStateActor(_StagedEmitterBase):
+class FunnelStateActor(_SweepGateBase):
     def __init__(
         self,
         *,
@@ -61,11 +59,9 @@ class FunnelStateActor(_StagedEmitterBase):
         self.within = within
         self.group_col, self.ts_col = group_col, ts_col
         self.seq_col, self.type_col = seq_col, type_col
-        self._init_staging(**sink)
+        self._init_gate(**sink)
         self._kid = np.zeros(0, np.int64)
         self._kth = np.zeros((0, len(self.steps)), np.int64)
-        self._pending: list[pa.Table] = []
-        self.finalized_upto = int(_MIN)
         self.n_rows = 0
 
     # -- ingest / sweep -----------------------------------------------------
@@ -73,49 +69,24 @@ class FunnelStateActor(_StagedEmitterBase):
     def ingest(self, batch: pa.Table, watermark: int) -> tuple[int, int]:
         """Absorb a micro-batch, advance the chain over every row the
         watermark passed.  Returns (rows finalized so far, n_late)."""
-        self.wm = max(self.wm, watermark)
-        ts = np.asarray(batch[self.ts_col], np.int64)
-        late = ts <= self.finalized_upto
-        if late.any():
-            lb = batch.filter(pa.array(late))
-            # staged late layout partitions on doc_id: the event seq is the
-            # unique per-row identity here
-            self._note_late(
-                lb.append_column("doc_id", lb[self.seq_col].cast(pa.int64()))
-            )
-            batch = batch.filter(pa.array(~late))
-        if batch.num_rows:
-            self._pending.append(batch)
+        self._gate(batch, watermark)
         self._sweep(self.wm)
         return self.n_rows, self.n_late
 
     def _sweep(self, wm: int) -> None:
-        if not self._pending:
-            self.finalized_upto = max(self.finalized_upto, wm)
+        ready = self._ready(wm)
+        if ready is None:
             return
-        pend = pa.concat_tables(self._pending)
-        ts = np.asarray(pend[self.ts_col], np.int64)
-        ready_mask = ts <= wm
-        if not ready_mask.any():
-            self.finalized_upto = max(self.finalized_upto, wm)
-            return
-        ready = pend.filter(pa.array(ready_mask))
-        rest = pend.filter(pa.array(~ready_mask))
-        self._pending = [rest] if rest.num_rows else []
 
         keys = np.asarray(ready[self.group_col], np.int64)
-        rts = ts[ready_mask]
+        rts = np.asarray(ready[self.ts_col], np.int64)
         typ = ready[self.type_col].combine_chunks()
 
         # union new keys into the sorted state (every key emits a row at
         # flush, stage-0 keys included — the DISTINCT-keys contract)
-        new = np.setdiff1d(np.unique(keys), self._kid, assume_unique=True)
-        if new.size:
-            merged = np.union1d(self._kid, new)
-            kth = np.full((merged.size, len(self.steps)), _I64_MAX, np.int64)
-            if self._kid.size:
-                kth[np.searchsorted(merged, self._kid)] = self._kth
-            self._kid, self._kth = merged, kth
+        self._kid, (self._kth,) = grow_sorted_keys(
+            self._kid, keys, [(self._kth, _I64_MAX)]
+        )
         kidx = np.searchsorted(self._kid, keys)
 
         prev = np.full(self._kid.size, _MIN)  # stage 0: no threshold
@@ -137,12 +108,11 @@ class FunnelStateActor(_StagedEmitterBase):
             prev = col
 
         self.n_rows += int(ready.num_rows)
-        self.finalized_upto = max(self.finalized_upto, wm)
 
     def flush(self) -> list[pa.Table]:
         """End of stream: sweep everything pending, emit one funnel row per
         distinct key (diverted to the staged sink layout in sink mode)."""
-        self._sweep(1 << 62)
+        self._sweep(_EOS)
         if self._kid.size == 0:
             return []
         reached = self._kth != _I64_MAX
@@ -168,5 +138,5 @@ class FunnelStateActor(_StagedEmitterBase):
             "n_rows": self.n_rows,
             "n_late": self.n_late,
             "state_keys": int(self._kid.size),
-            "pending_rows": int(sum(t.num_rows for t in self._pending)),
+            "pending_rows": self._pending_rows(),
         }

@@ -40,8 +40,6 @@ import ray
 
 from .staging import _StagedEmitterBase
 
-_MIN = np.int64(-(1 << 62))
-
 
 def _pair_ids(l_seq: np.ndarray, r_seq: np.ndarray) -> np.ndarray:
     """Deterministic int64 pair id for sink partitioning (assumes seqs fit

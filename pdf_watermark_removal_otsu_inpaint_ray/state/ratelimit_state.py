@@ -3,8 +3,9 @@
 win ORDER BY o, t) <= k``) as live keyed state — the throttling /
 per-domain-cap primitive applied online.
 
-Rows route to actors by KEY hash; a row enters the cap chain only once
-the watermark passes its timestamp, so each (key, window) admits rows in
+Rows route to actors by KEY hash; the event-time gate
+(``staging._SweepGateBase``) lets a row into the cap chain only once the
+watermark passes its timestamp, so each (key, window) admits rows in
 pure EVENT-time ``(order, tiebreak)`` order regardless of arrival
 interleaving — the emitted ``rn`` ranks and the kept set equal the batch
 operator's output whenever no row goes late.
@@ -24,9 +25,7 @@ import pyarrow as pa
 
 import ray
 
-from .staging import _StagedEmitterBase
-
-_MIN = np.int64(-(1 << 62))
+from .staging import _EOS, _SweepGateBase
 
 
 def _pack2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -38,7 +37,7 @@ def _pack2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @ray.remote
-class RateLimitStateActor(_StagedEmitterBase):
+class RateLimitStateActor(_SweepGateBase):
     def __init__(
         self,
         *,
@@ -51,49 +50,26 @@ class RateLimitStateActor(_StagedEmitterBase):
     ):
         self.window_us, self.k = window_us, k
         self.group_col, self.ts_col, self.seq_col = group_col, ts_col, seq_col
-        self._init_staging(**sink)
+        self._init_gate(**sink)
         self._skey = np.zeros(0, np.int64)  # state: key column
         self._swin = np.zeros(0, np.int64)  # state: window column
         self._scnt = np.zeros(0, np.int64)  # admitted so far
-        self._pending: list[pa.Table] = []
         self._out: list[pa.Table] = []
-        self.finalized_upto = int(_MIN)
         self.n_kept = 0
         self.n_capped = 0
 
     def ingest(self, batch: pa.Table, watermark: int) -> tuple[int, int]:
-        self.wm = max(self.wm, watermark)
-        ts = np.asarray(batch[self.ts_col], np.int64)
-        late = ts <= self.finalized_upto
-        if late.any():
-            lb = batch.filter(pa.array(late))
-            self._note_late(
-                lb.append_column("doc_id", lb[self.seq_col].cast(pa.int64()))
-            )
-            batch = batch.filter(pa.array(~late))
-        if batch.num_rows:
-            self._pending.append(batch)
+        self._gate(batch, watermark)
         self._sweep(self.wm)
         return self.n_kept, self.n_capped
 
     def _sweep(self, wm: int) -> None:
-        if not self._pending:
-            self.finalized_upto = max(self.finalized_upto, wm)
+        ready = self._ready(wm)
+        if ready is None:
             self._evict(wm)
             return
-        pend = pa.concat_tables(self._pending)
-        ts = np.asarray(pend[self.ts_col], np.int64)
-        ready_mask = ts <= wm
-        if not ready_mask.any():
-            self.finalized_upto = max(self.finalized_upto, wm)
-            self._evict(wm)
-            return
-        ready = pend.filter(pa.array(ready_mask))
-        rest = pend.filter(pa.array(~ready_mask))
-        self._pending = [rest] if rest.num_rows else []
-
         key = np.asarray(ready[self.group_col], np.int64)
-        rts = ts[ready_mask]
+        rts = np.asarray(ready[self.ts_col], np.int64)
         seq = np.asarray(ready[self.seq_col], np.int64)
         win = rts // self.window_us
         order = np.lexsort((seq, rts, win, key))
@@ -144,9 +120,7 @@ class RateLimitStateActor(_StagedEmitterBase):
                     "doc_id": pa.array(seq_s[keep], pa.int64()),
                 }
             )
-            for t in self._divert([out]):
-                self._out.append(t)
-        self.finalized_upto = max(self.finalized_upto, wm)
+            self._out.extend(self._divert([out]))
         self._evict(wm)
 
     def _evict(self, wm: int) -> None:
@@ -159,7 +133,7 @@ class RateLimitStateActor(_StagedEmitterBase):
             self._scnt = self._scnt[live]
 
     def flush(self) -> list[pa.Table]:
-        self._sweep(1 << 62)
+        self._sweep(_EOS)
         return self._out
 
     _CKPT_FIELDS = ("_skey", "_swin", "_scnt", "_pending", "_out",
@@ -171,5 +145,5 @@ class RateLimitStateActor(_StagedEmitterBase):
             "n_capped": self.n_capped,
             "n_late": self.n_late,
             "state_windows": int(self._skey.size),
-            "pending_rows": int(sum(t.num_rows for t in self._pending)),
+            "pending_rows": self._pending_rows(),
         }

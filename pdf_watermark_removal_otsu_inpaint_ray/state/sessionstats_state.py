@@ -5,9 +5,10 @@ proves no more rows can join them, and emit ONE aggregate row each
 (count, start/end, duration), the Flink session-window shape with an
 aggregate trigger.
 
-Rows route to actors by KEY hash; a row enters its key's session only
-once the watermark passes its timestamp, so event-time order holds
-across sweeps and the session recurrence is a pure left fold: extend
+Rows route to actors by KEY hash; the event-time gate
+(``staging._SweepGateBase``) lets a row into its key's session only once
+the watermark passes its timestamp, so event-time order holds across
+sweeps and the session recurrence is a pure left fold: extend
 the open session when ``ts − end ≤ gap``, otherwise CLOSE it (emit) and
 open a new one.  State per key is exactly ONE open session tuple
 ``(session_ordinal, start, end, n_events)`` — O(keys), never O(stream);
@@ -19,7 +20,7 @@ the advancing watermark even when no row for them arrives.
 
 Within a sweep the batch kernel applies unchanged (lexsort + gap-break
 boundary sweep); the carried open session seeds each key's first
-segment.  Late rows route to the counted side output; with lateness
+segment.  Late rows go to the gate's counted side output; with lateness
 covering disorder the emitted row set is byte-equal to the batch twin —
 one definition, two execution tiers, one SQL twin.
 """
@@ -31,13 +32,11 @@ import pyarrow as pa
 
 import ray
 
-from .staging import _StagedEmitterBase
-
-_MIN = np.int64(-(1 << 62))
+from .staging import _EOS, _MIN, _SweepGateBase, grow_sorted_keys
 
 
 @ray.remote
-class SessionStatsActor(_StagedEmitterBase):
+class SessionStatsActor(_SweepGateBase):
     def __init__(
         self,
         *,
@@ -49,7 +48,7 @@ class SessionStatsActor(_StagedEmitterBase):
     ):
         self.gap = int(gap)
         self.group_col, self.ts_col, self.seq_col = group_col, ts_col, seq_col
-        self._init_staging(**sink)
+        self._init_gate(**sink)
         # open-session state, aligned arrays sorted by key
         self._kid = np.zeros(0, np.int64)
         self._sid = np.zeros(0, np.int64)   # ordinal of the OPEN session
@@ -57,22 +56,10 @@ class SessionStatsActor(_StagedEmitterBase):
         self._end = np.zeros(0, np.int64)
         self._cnt = np.zeros(0, np.int64)
         self._open = np.zeros(0, bool)
-        self._pending: list[pa.Table] = []
-        self.finalized_upto = int(_MIN)
         self.n_rows = 0
 
     def ingest(self, batch: pa.Table, watermark: int) -> list[pa.Table]:
-        self.wm = max(self.wm, watermark)
-        ts = np.asarray(batch[self.ts_col], np.int64)
-        late = ts <= self.finalized_upto
-        if late.any():
-            lb = batch.filter(pa.array(late))
-            self._note_late(
-                lb.append_column("doc_id", lb[self.seq_col].cast(pa.int64()))
-            )
-            batch = batch.filter(pa.array(~late))
-        if batch.num_rows:
-            self._pending.append(batch)
+        self._gate(batch, watermark)
         return self._sweep(self.wm)
 
     def _emit_tbl(self, kk, sid, st, en, cnt) -> pa.Table:
@@ -96,17 +83,7 @@ class SessionStatsActor(_StagedEmitterBase):
 
     def _sweep(self, wm: int) -> list[pa.Table]:
         out: list[pa.Table] = []
-        ready = None
-        if self._pending:
-            pend = pa.concat_tables(self._pending)
-            ts = np.asarray(pend[self.ts_col], np.int64)
-            ready_mask = ts <= wm
-            if ready_mask.any():
-                ready = pend.filter(pa.array(ready_mask))
-                rest = pend.filter(pa.array(~ready_mask))
-                self._pending = [rest] if rest.num_rows else []
-        self.finalized_upto = max(self.finalized_upto, wm)
-
+        ready = self._ready(wm)
         if ready is not None:
             self.n_rows += int(ready.num_rows)
             keys = np.asarray(ready[self.group_col], np.int64)
@@ -115,22 +92,12 @@ class SessionStatsActor(_StagedEmitterBase):
             idx = np.lexsort((seq, rts, keys))
             keys, rts = keys[idx], rts[idx]
 
-            new = np.setdiff1d(np.unique(keys), self._kid, assume_unique=True)
-            if new.size:
-                merged = np.union1d(self._kid, new)
-
-                def grow(a, fill):
-                    g = np.full(merged.size, fill, a.dtype)
-                    if self._kid.size:
-                        g[np.searchsorted(merged, self._kid)] = a
-                    return g
-
-                self._sid = grow(self._sid, 0)
-                self._start = grow(self._start, 0)
-                self._end = grow(self._end, _MIN)
-                self._cnt = grow(self._cnt, 0)
-                self._open = grow(self._open, False)
-                self._kid = merged
+            self._kid, (
+                self._sid, self._start, self._end, self._cnt, self._open
+            ) = grow_sorted_keys(self._kid, keys, [
+                (self._sid, 0), (self._start, 0), (self._end, _MIN),
+                (self._cnt, 0), (self._open, False),
+            ])
 
             n = keys.size
             first = np.empty(n, bool)
@@ -205,7 +172,7 @@ class SessionStatsActor(_StagedEmitterBase):
         return self._divert(out)
 
     def flush(self) -> list[pa.Table]:
-        out = self._sweep(1 << 61)
+        out = self._sweep(_EOS)
         m = self._open
         if m.any():
             out2 = self._emit_tbl(
@@ -226,5 +193,5 @@ class SessionStatsActor(_StagedEmitterBase):
             "n_late": self.n_late,
             "state_keys": int(self._kid.size),
             "open_sessions": int(self._open.sum()),
-            "pending_rows": int(sum(t.num_rows for t in self._pending)),
+            "pending_rows": self._pending_rows(),
         }

@@ -1,5 +1,6 @@
 """The base every streaming state actor inherits: sink staging, the late
-side output and checkpoint/restore, written once.
+side output and checkpoint/restore, written once — and, for the sweep
+actors, the event-time gate.
 
 Output rows divert to the exactly-once staged layout in sink mode (the
 driver only commits manifests); late rows route to the ``_late/`` side
@@ -8,6 +9,16 @@ buffer), never O(stream).  A subclass calls ``_init_staging(**sink)`` from
 its constructor (``sink`` is ``pipelines/streaming._sink_args``' shape;
 every key defaults to "no sink"), names its own mutable state in
 ``_CKPT_FIELDS``, and keeps only its operator logic.
+
+The event-time gate (:class:`_SweepGateBase`) is where disordered
+arrivals become safe to reorder.  A row arriving at or under
+``finalized_upto`` is late; every other row waits in ``_pending`` until
+the watermark passes its timestamp, and only then reaches the operator.
+Every earlier-timestamp row has arrived by then, so each release is an
+event-time prefix that follows the previous one: an operator may fold
+its per-key state over released rows as if the stream were sorted.  The
+sweep actors (attribution, first-touch, dedup, funnel, rate-limit,
+session-stats) inherit it and keep only their per-key logic.
 """
 
 from __future__ import annotations
@@ -18,6 +29,31 @@ import numpy as np
 import pyarrow as pa
 
 _MIN = np.int64(-(1 << 62))
+# end-of-stream watermark: a flush releases every pending row
+_EOS = 1 << 62
+
+
+def grow_sorted_keys(
+    kid: np.ndarray,
+    keys: np.ndarray,
+    cols: list[tuple[np.ndarray, object]],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Union ``keys`` into the sorted key array ``kid``.  Each ``(array,
+    fill)`` in ``cols`` is aligned row-for-row with ``kid`` (1-D, or a
+    matrix with one row per key); it comes back re-indexed to the grown
+    key array, its new keys' rows set to ``fill``.  Returns ``(kid,
+    arrays)``, the inputs themselves when every key is already known."""
+    new = np.setdiff1d(np.unique(keys), kid, assume_unique=True)
+    if not new.size:
+        return kid, [a for a, _ in cols]
+    merged = np.union1d(kid, new)
+    at = np.searchsorted(merged, kid)
+    grown = []
+    for a, fill in cols:
+        g = np.full((merged.size,) + a.shape[1:], fill, a.dtype)
+        g[at] = a
+        grown.append(g)
+    return merged, grown
 
 
 class _StagedEmitterBase:
@@ -158,3 +194,51 @@ class _StagedEmitterBase:
     def restore_state(self, blob: bytes) -> None:
         for k, v in pickle.loads(blob).items():
             setattr(self, k, v)
+
+
+class _SweepGateBase(_StagedEmitterBase):
+    """The event-time gate of the sweep actors (module docstring).  A
+    subclass sets ``ts_col`` and ``seq_col``, calls ``_init_gate(**sink)``
+    from its constructor, passes each micro-batch to ``_gate`` and folds
+    what ``_ready`` releases; it lists ``_pending`` and ``finalized_upto``
+    in its ``_CKPT_FIELDS``."""
+
+    def _init_gate(self, **sink) -> None:
+        self._init_staging(**sink)
+        self._pending: list[pa.Table] = []
+        # watermark of the last release: rows at or under it are late
+        self.finalized_upto = int(_MIN)
+
+    def _gate(self, batch: pa.Table, watermark: int) -> None:
+        """Raise ``wm``; route rows at or under ``finalized_upto`` late
+        (partitioned on ``doc_id``: ``seq_col`` unless the rows carry
+        one) and buffer the rest."""
+        self.wm = max(self.wm, watermark)
+        late = np.asarray(batch[self.ts_col], np.int64) <= self.finalized_upto
+        if late.any():
+            lb = batch.filter(pa.array(late))
+            if "doc_id" not in lb.column_names:
+                lb = lb.append_column(
+                    "doc_id", lb[self.seq_col].cast(pa.int64())
+                )
+            self._note_late(lb)
+            batch = batch.filter(pa.array(~late))
+        if batch.num_rows:
+            self._pending.append(batch)
+
+    def _ready(self, wm: int) -> pa.Table | None:
+        """Pop the pending rows with ``ts <= wm`` (None if there are none)
+        and advance ``finalized_upto`` to ``wm``."""
+        ready = None
+        if self._pending:
+            pend = pa.concat_tables(self._pending)
+            mask = np.asarray(pend[self.ts_col], np.int64) <= wm
+            if mask.any():
+                ready = pend.filter(pa.array(mask))
+                rest = pend.filter(pa.array(~mask))
+                self._pending = [rest] if rest.num_rows else []
+        self.finalized_upto = max(self.finalized_upto, wm)
+        return ready
+
+    def _pending_rows(self) -> int:
+        return int(sum(t.num_rows for t in self._pending))

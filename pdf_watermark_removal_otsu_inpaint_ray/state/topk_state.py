@@ -28,9 +28,7 @@ import pyarrow as pa
 
 import ray
 
-from .staging import _StagedEmitterBase
-
-_MIN = np.int64(-(1 << 62))
+from .staging import _MIN, _StagedEmitterBase
 
 
 @ray.remote

@@ -98,12 +98,13 @@ def test_streaming_attribution_carry_across_sweeps(ray_session):
     assert _as_dict(res2.output) == {3: None}
 
 
-def test_streaming_attribution_late_routing(ray_session):
+@pytest.mark.parametrize("rule", ["last", "first"])
+def test_streaming_attribution_late_routing(ray_session, rule):
     """Under-laternessed disorder: late rows are counted + routed, never
     silently dropped; the on-time result stays deterministic."""
     tbl = _stream(disorder=400, seed=11)
     res = run_streaming_attribution(
-        ray.data.from_arrow(tbl), window=W, allowed_lateness=2,
+        ray.data.from_arrow(tbl), rule=rule, window=W, allowed_lateness=2,
         n_actors=2, micro_batch_rows=16,
     )
     assert res.n_late > 0

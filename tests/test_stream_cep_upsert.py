@@ -466,6 +466,28 @@ def test_rate_limit_cross_sweep_rank_continuity(ray_session):
     assert res.actor_stats[0]["n_capped"] == 3
 
 
+def test_rate_limit_late_routing(ray_session):
+    """Under-laternessed disorder: late rows are counted and routed, never
+    ranked; every row is kept, capped or late."""
+    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.stream_cep import (
+        run_streaming_rate_limit,
+    )
+
+    tbl = _rl_stream(400, disorder=60)
+    res = run_streaming_rate_limit(
+        ray.data.from_arrow(tbl), window_us=100, k=2,
+        allowed_lateness=0, n_actors=2, micro_batch_rows=16,
+    )
+    assert res.n_late > 0
+    assert res.late is not None and res.late.num_rows == res.n_late
+    assert (
+        sum(s["n_kept"] + s["n_capped"] for s in res.actor_stats) + res.n_late
+        == tbl.num_rows
+    )
+    late_ids = set(res.late["event_id"].to_pylist())
+    assert late_ids.isdisjoint(res.output["event_id"].to_pylist())
+
+
 def test_rate_limit_checkpoint_kill_and_replay(ray_session, tmp_path):
     from pdf_watermark_removal_otsu_inpaint_ray.pipelines.checkpoint import (
         latest_checkpoint,
