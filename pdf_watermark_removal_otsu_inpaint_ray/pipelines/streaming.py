@@ -31,7 +31,7 @@ import ray
 from ..config import DEFAULT_CONFIG, EngineConfig, scaled_parts
 from ..sinks.exactly_once import hash_partition_ids
 from ..state import Resettable
-from ..state.keyed_state import KeyedStateActor
+from ..state.keyed_state import KeyedStateActor, _WindowDecisions
 from ..state.watermark_tracker import WatermarkTracker
 
 
@@ -914,106 +914,33 @@ def run_streaming_partitioned(
 
 
 @ray.remote
-class _SaltedAggregator(Resettable):
-    """Global detection state of the salted engine, in an actor so that
-    its consumers scale.  Windowed kinds: the per-(source, window)
-    histogram merge with the detection-epoch horizon guard.  Session
-    kind: the per-source open sessions, gap-merged from the actors'
-    micro-session fragments with ``merge_session_intervals``.  Both keep
-    the sticky first-detecting-window map and (driver-collect mode) the
-    emitted-output outbox.  Consumers forward their ingest deltas here
-    (Ray resolves the actors' ``ingest_partial`` ObjectRefs before
-    invoking ``add``, so the rows are provably buffered before their
-    deltas merge); finalization fans ``finalize_windows`` or
-    ``finalize_sessions_salted`` back out to the state actors.
-    Single-actor serialization of ``add`` makes the horizon guard
-    race-free.
+class _SaltedAggregator(_WindowDecisions, Resettable):
+    """The salted engine's decide step (``state.keyed_state._WindowDecisions``,
+    the code ``KeyedStateActor`` runs in-process), in an actor so that its
+    consumers scale: it merges the actors' ``ingest_partial`` deltas —
+    per-(source, window) histogram partials, or micro-session fragments
+    gap-merged per source — and fans each round's decisions out to the
+    state actors through ``finalize_windows`` or
+    ``finalize_sessions_salted``.  Consumers forward their deltas to
+    ``add`` (Ray resolves the actors' ``ingest_partial`` ObjectRefs before
+    invoking it, so the rows are provably buffered before their deltas
+    merge).  Single-actor serialization of ``add`` makes the horizon guard
+    race-free.  The outbox holds the emitted output in driver-collect
+    mode.
 
     Consumers send ``maybe_finalize`` without waiting for it, so a failed
     finalize is recorded (the first one) and re-raised by ``final_flush``:
     its windows' histograms are already evicted, and carrying on would
-    re-emit them through the leftover path with wrong tokens."""
+    re-emit them as windows with no histogram, with wrong tokens."""
 
     def __init__(self, cfg: EngineConfig, actors: list):
-        self.cfg = cfg
+        self._init_decisions(cfg)
         self.actors = actors
-        self.hists: dict[tuple[str, int], np.ndarray] = {}
-        self.sessions: dict[str, list[dict]] = {}  # source -> open sessions
-        # source -> (token, FIRST detecting window or session start): sticky
-        # never rewrites a window earlier than the first detecting one, the
-        # guard of keyed_state._emit_window and golden.apply_sticky
-        self.sticky: dict[str, tuple[int, int]] = {}
-        self.horizon = -(1 << 62)
         self.outbox: list[pa.Table] = []
         self.error: tuple[int, BaseException] | None = None
 
     def add(self, *delta_results) -> None:
-        """Merge the actors' ``ingest_partial`` deltas.  A straggler
-        contribution to an already-finalized window is dropped: its
-        detection epoch has passed, and a recreated partial could later
-        pin a garbage sticky token."""
-        from ..state.keyed_state import _window_end, merge_session_intervals
-
-        cfg = self.cfg
-        for srcs, keys, Hm, _n_late in delta_results:
-            if cfg.window_kind == "session":
-                for s, (start, last), h in zip(srcs, keys, Hm):
-                    self.sessions.setdefault(s, []).append(
-                        {"start": start, "last": last, "hist": h.copy()}
-                    )
-                for s in set(srcs):
-                    self.sessions[s] = merge_session_intervals(self.sessions[s], cfg.session_gap)
-                continue
-            for s, w, h in zip(srcs, keys, Hm):
-                if _window_end(w, cfg) <= self.horizon:
-                    continue
-                if (s, w) in self.hists:
-                    self.hists[(s, w)] += h
-                else:
-                    self.hists[(s, w)] = h.copy()
-
-    def _token(self, s: str, w: int, hist: np.ndarray | None) -> int:
-        """The wm token of source ``s``'s window (or session start) ``w``:
-        the fixed override, the sticky token from its first detecting
-        window onward, else ``hist``'s own detection (-1 without one)."""
-        from ..golden import detect_wm_token
-
-        cfg = self.cfg
-        if cfg.fixed_wm_token >= 0:  # user override skips detection (M15)
-            return cfg.fixed_wm_token
-        st = self.sticky.get(s) if cfg.detection_mode == "sticky" else None
-        if st is not None and w >= st[1]:
-            return st[0]
-        if hist is None:
-            return -1
-        wm_tok, _ = detect_wm_token(hist, cfg)
-        if cfg.detection_mode == "sticky" and wm_tok >= 0 and st is None:
-            self.sticky[s] = (int(wm_tok), w)
-        return int(wm_tok)
-
-    def _due(self, watermark: int) -> list[tuple]:
-        """Detect + evict everything due at ``watermark``, in ascending
-        window (session start) order per source: ``(source, window,
-        wm_token)`` items, or ``(source, lo, hi, wm_token)`` for every
-        session with ``last + session_gap <= watermark``.  Advances the
-        horizon even when nothing is due."""
-        from ..state.keyed_state import _window_end
-
-        cfg = self.cfg
-        self.horizon = max(self.horizon, watermark)
-        if cfg.window_kind != "session":
-            due = sorted(k for k in self.hists if _window_end(k[1], cfg) <= watermark)
-            return [(s, w, self._token(s, w, self.hists.pop((s, w)))) for s, w in due]
-        items, still_open = [], {}  # a source whose sessions all closed is dropped
-        for s in sorted(self.sessions):
-            for ses in self.sessions[s]:  # ascending start (merge invariant)
-                if ses["last"] + cfg.session_gap <= watermark:
-                    tok = self._token(s, ses["start"], ses["hist"])
-                    items.append((s, ses["start"], ses["last"], tok))
-                else:
-                    still_open.setdefault(s, []).append(ses)
-        self.sessions = still_open
-        return items
+        self._merge(delta_results)
 
     def maybe_finalize(self, watermark: int) -> None:
         if self.error is not None:
@@ -1037,19 +964,17 @@ class _SaltedAggregator(Resettable):
             self.outbox.extend(tables)
 
     def final_flush(self) -> None:
-        """End of stream: finalize everything still held, then the
-        leftover-buffer path: windows buffered in actors with NO histogram
-        (all their contributions dropped by the horizon guard) emit with
-        the fixed or sticky token, else unrewritten (-1, failed-detection
+        """End of stream: finalize everything still held, including the
+        windows buffered in actors with NO histogram (all their
+        contributions dropped by the horizon guard), which emit with the
+        fixed or sticky token, else unrewritten (-1, failed-detection
         semantics).  Raises the first error a ``maybe_finalize``
         recorded."""
         if self.error is not None:
             wm, e = self.error
             raise RuntimeError(f"salted aggregator: finalize at watermark {wm} failed") from e
-        self._fan_out(self._due(1 << 62))
         leftovers = ray.get([a.buffered_keys.remote() for a in self.actors])
-        left = sorted({k for ks in leftovers for k in map(tuple, ks)})
-        self._fan_out([(s, w, self._token(s, w, None)) for s, w in left])
+        self._fan_out(self._due(1 << 62, {k for ks in leftovers for k in map(tuple, ks)}))
 
     def take_outbox(self) -> list[pa.Table]:
         out = self.outbox

@@ -1,30 +1,31 @@
-"""Keyed windowed state actor — the engine's incremental state store (T1/T2).
+"""Keyed windowed state: the decide step of the inpaint engines and the
+state actor that buffers, rewrites and emits their rows (T1/T2).
 
-Each actor owns a hash slice of the ``source`` key space and maintains, per
-live (source, window):
+The decide step is written once, in :class:`_WindowDecisions`: merge
+histogram deltas per (source, window), or micro-session fragments per
+source; when the event-time watermark passes a window's end (a session's
+last row plus the gap), decide its watermark token (Otsu rule,
+watermark_detector.py:172-189, with the fixed override and the sticky
+first-detection-wins rule) and evict its state — watermark-driven eviction
+per SURVEY.md §2.9.  It runs in two placements:
 
-* the 256-bin token histogram (associative partial, A1 — merged
-  incrementally as batches arrive, never recomputed), and
-* the buffered row batches of the window (Arrow tables).
+* in-process in :class:`KeyedStateActor`, when each source's rows all meet
+  one actor (``run_streaming``, ``run_streaming_partitioned``): ``ingest``
+  buffers a micro-batch, merges its own deltas and finalizes what is due,
+  with no hop;
+* in the salted engine's ``_SaltedAggregator`` actor, when a hot source is
+  salted across actors (``run_streaming_salted_partitioned``): the actors
+  buffer and return their deltas (``ingest_partial``), and the aggregator
+  merges them and fans the decided tokens back out.
 
-When the global event-time watermark passes a window's end, the actor derives
-the watermark token (Otsu rule, watermark_detector.py:172-189), rewrites the
-buffered rows with the fused inpaint kernel, emits them, and **evicts** the
-state — watermark-driven eviction per SURVEY.md §2.9.  Every finalize path
-(keyed ingest and flush, the salted fan-out, both session paths) decides each
-due window's or session's token first and then rewrites the whole round
-through :meth:`KeyedStateActor._rewrite_parts`: one kernel call per
+Either way the actor applies the decisions through ``finalize_windows`` or
+``finalize_sessions_salted``, which rewrite a whole round in one
+:meth:`KeyedStateActor._rewrite_parts`: one kernel call per
 ``_FUSED_REWRITE_ROWS`` rows with a per-row token vector, not one call per
 (typically small) window.  Rows whose governing window already finalized
 are routed to the late-data side output (counted, never silently dropped).
 Sink staging, that side output and checkpoint/restore are the shared
-state-actor base's (:class:`.staging._StagedEmitterBase`); this module
-holds only the window and session logic.
-
-Skew note (§4.2): sources are Zipf-skewed; the key → actor routing hashes
-``source`` so hot sources can be salted by the caller into sub-keys (the
-histogram partials merge associatively, so sub-key histograms can be summed
-at finalize).
+state-actor base's (:class:`.staging._StagedEmitterBase`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import pyarrow as pa
 import ray
 
 from ..config import EngineConfig
-from ..golden import detect_wm_token
+from ..stages.detect import detect_wm_many
 from ..stages.kernels import (
     batch_histograms,
     flatten_list_column,
@@ -56,11 +57,8 @@ _FUSED_REWRITE_ROWS = 512
 def merge_session_intervals(frags: list[dict], gap: int) -> list[dict]:
     """Sort-by-start interval merge under the transitive session-gap
     relation ``next.start <= cur.last + gap`` — the ONE definition of
-    session equivalence.  Actor-local session state and the salted
-    aggregator's fragment merge both route through this boundary rule;
-    keeping a single copy means it can never desynchronize.  Merges
-    ``hist`` additively and extends ``tables`` when both sides carry them.
-    Mutates and returns the merged list."""
+    session equivalence, used by :meth:`_WindowDecisions._merge`.  Merges
+    ``hist`` additively.  Mutates and returns the merged list."""
     frags.sort(key=lambda x: x["start"])
     out = [frags[0]]
     for ses in frags[1:]:
@@ -68,55 +66,143 @@ def merge_session_intervals(frags: list[dict], gap: int) -> list[dict]:
         if ses["start"] <= cur["last"] + gap:
             cur["last"] = max(cur["last"], ses["last"])
             cur["hist"] = cur["hist"] + ses["hist"]
-            if "tables" in cur and "tables" in ses:
-                cur["tables"].extend(ses["tables"])
         else:
             out.append(ses)
     return out
 
 
-def _window_end(window_id: int, cfg: EngineConfig) -> int:
+def _window_end(window_id, cfg: EngineConfig):
+    """End of window ``window_id`` (an int or an int64 array of ids)."""
     if cfg.window_kind == "tumbling":
         return (window_id + 1) * cfg.window_size
     if cfg.window_kind == "sliding":
         return window_id * cfg.window_slide + cfg.window_size
     if cfg.window_kind == "global":
-        return 1 << 62  # one all-stream window: finalizes only at flush
+        # one all-stream window: finalizes only at flush
+        return np.broadcast_to(np.int64(1 << 62), np.shape(window_id))
     raise ValueError(f"streaming window kind {cfg.window_kind}")
 
 
+class _WindowDecisions:
+    """The decide step of the inpaint engines, written once (module
+    docstring): ``KeyedStateActor`` runs it in-process, the salted engine's
+    ``_SaltedAggregator`` over every actor's deltas.  Deltas are
+    ``ingest_partial``'s ``(sources, keys, hist_matrix, n_late)``; a
+    decision is a ``(source, window, wm_token)`` item, or ``(source, lo,
+    hi, wm_token)`` per closed session."""
+
+    def _init_decisions(self, cfg: EngineConfig) -> None:
+        self.cfg = cfg
+        self.hists: dict[tuple[str, int], np.ndarray] = {}
+        # source -> open sessions {start, last, hist}, ascending start
+        self.sessions: dict[str, list[dict]] = {}
+        # source -> (token, first detecting window or session start):
+        # golden.apply_sticky fixes the token from that window ONWARD only,
+        # never retroactively (watermark_detector.py:562-568,188)
+        self.sticky: dict[str, tuple[int, int]] = {}
+        # detection-epoch horizon: histograms of windows with end <= horizon
+        # were already consulted and evicted
+        self.horizon = -(1 << 62)
+
+    def _merge(self, deltas) -> None:
+        """Merge ``ingest_partial`` deltas.  A straggler contribution to a
+        window past the horizon is dropped: its detection epoch has
+        passed, and a recreated partial could later pin a garbage sticky
+        token."""
+        cfg = self.cfg
+        for srcs, keys, Hm, _n_late in deltas:
+            if cfg.window_kind == "session":
+                for s, (start, last), h in zip(srcs, keys, Hm):
+                    self.sessions.setdefault(s, []).append(
+                        {"start": start, "last": last, "hist": h.copy()}
+                    )
+                for s in set(srcs):
+                    self.sessions[s] = merge_session_intervals(self.sessions[s], cfg.session_gap)
+                continue
+            for s, w, h in zip(srcs, keys, Hm):
+                if _window_end(w, cfg) <= self.horizon:
+                    continue
+                if (s, w) in self.hists:
+                    self.hists[(s, w)] += h
+                else:
+                    self.hists[(s, w)] = h.copy()
+
+    def _due(self, watermark: int, buffered=()) -> list[tuple]:
+        """Decide + evict everything due at ``watermark``, in ascending
+        window (session start) order per source: every window with end <=
+        ``watermark`` that has a histogram or is a ``buffered`` key (a
+        buffered window with no histogram had all its contributions
+        dropped by the horizon guard), or every session with ``last +
+        session_gap <= watermark``.  A source whose sessions all closed
+        leaves ``sessions``.  Advances the horizon even when nothing is
+        due."""
+        cfg = self.cfg
+        self.horizon = max(self.horizon, watermark)
+        if cfg.window_kind == "session":
+            due, still_open = [], {}
+            for s in sorted(self.sessions):
+                for ses in self.sessions[s]:
+                    if ses["last"] + cfg.session_gap <= watermark:
+                        due.append((s, ses))
+                    else:
+                        still_open.setdefault(s, []).append(ses)
+            self.sessions = still_open
+            toks = self._tokens(
+                [(s, ses["start"]) for s, ses in due], [ses["hist"] for _, ses in due]
+            )
+            return [(s, ses["start"], ses["last"], t) for (s, ses), t in zip(due, toks)]
+        keys = sorted(
+            {k for k in self.hists if _window_end(k[1], cfg) <= watermark}.union(
+                k for k in buffered if _window_end(k[1], cfg) <= watermark
+            )
+        )
+        toks = self._tokens(keys, [self.hists.pop(k, None) for k in keys])
+        return [(s, w, t) for (s, w), t in zip(keys, toks)]
+
+    def _tokens(self, keys: list[tuple[str, int]], hists: list) -> list[int]:
+        """The wm token of each ``(source, window or session start)`` key,
+        given in ascending order per source: the fixed override (M15), else
+        one vectorized detection over the round (``detect_wm_many`` ==
+        ``golden.detect_wm_token`` per row; a missing hist counts as empty,
+        which detects -1), then in sticky mode each source's first
+        detecting key fixes the token for itself and every later key."""
+        cfg = self.cfg
+        if cfg.fixed_wm_token >= 0:
+            return [cfg.fixed_wm_token] * len(keys)
+        if not keys:
+            return []
+        empty = np.zeros(cfg.gray_mod, np.int64)
+        toks = detect_wm_many(
+            np.stack([empty if h is None else h for h in hists]), cfg
+        )[0].tolist()
+        if cfg.detection_mode == "sticky":
+            for i, (s, w) in enumerate(keys):
+                st = self.sticky.get(s)
+                if st is None:
+                    if toks[i] >= 0:
+                        self.sticky[s] = (toks[i], w)
+                elif w >= st[1]:
+                    toks[i] = st[0]
+        return toks
+
+
 @ray.remote
-class KeyedStateActor(_StagedEmitterBase, Resettable):
+class KeyedStateActor(_WindowDecisions, _StagedEmitterBase, Resettable):
     def __init__(self, cfg: EngineConfig, **sink):
         """``sink``: ``_StagedEmitterBase._init_staging``'s arguments — with
         a ``sink_dir``, finalized windows and late rows stage from this
         actor, so the driver only commits manifests."""
-        self.cfg = cfg
+        self._init_decisions(cfg)
         self._init_staging(**sink)
-        self.hists: dict[tuple[str, int], np.ndarray] = {}
+        # buffered rows per governing (source, window), or per source in the
+        # session kind
         self.buffers: dict[tuple[str, int], list[pa.Table]] = {}
+        self._salted_rows: dict[str, list[pa.Table]] = {}
         self.finalized: set[tuple[str, int]] = set()
-        # sticky detection state: source -> (token, first_detecting_window)
-        # in the windowed paths (forward-only: golden.apply_sticky fixes the
-        # token from the FIRST detecting window onward, never retroactively),
-        # source -> token in the session path (sessions close in ascending
-        # start order, so forward-only holds by construction there)
-        self._sticky: dict = {}
-        # detection-epoch horizon: histograms of windows with end <= horizon
-        # were already consulted (and evicted) — a straggler row must never
-        # recreate a partial hist for them (its detection epoch has passed;
-        # a recreated 1-row hist could pin a garbage sticky token)
-        self._hist_horizon = -(1 << 62)
-        # session state: source -> sorted list of open sessions
-        # {start, last, hist, tables}; closed_horizon = latest closed
-        # session's (last + gap) per source (rows at/below it are late)
-        self.sessions: dict[str, list[dict]] = {}
+        # latest closed session's (last + gap) per source: rows at/below it
+        # are late
         self.session_horizon: dict[str, int] = {}
         self.n_emitted = 0
-        # salted-session row buffer (source -> tables) and the multi-consumer
-        # outbox — plain actor state like everything above (review finding:
-        # these were lazily getattr-created at each call site)
-        self._salted_rows: dict[str, list[pa.Table]] = {}
         self._outbox: list[pa.Table] = []
 
     def _clamp_wm(self, watermark: int) -> int:
@@ -137,36 +223,20 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
             }
         return self.wm
 
-    def _fixed_wm(self) -> int | None:
-        """User token override: detection is skipped entirely (M15,
-        golden.py fixed_wm_token semantics)."""
-        return self.cfg.fixed_wm_token if self.cfg.fixed_wm_token >= 0 else None
-
-    def _window_ends_vec(self, govern: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        if cfg.window_kind == "tumbling":
-            return (govern + 1) * cfg.window_size
-        if cfg.window_kind == "sliding":
-            return govern * cfg.window_slide + cfg.window_size
-        if cfg.window_kind == "global":
-            return np.full(govern.size, 1 << 62, dtype=np.int64)
-        raise ValueError(cfg.window_kind)
-
     # -- ingest -----------------------------------------------------------
 
     def ingest(self, batch: pa.Table, watermark: int) -> tuple[list[pa.Table], int]:
-        """Absorb a micro-batch, then finalize every window the watermark
-        passed.  Returns (emitted output tables, late rows so far)."""
-        cfg = self.cfg
-        watermark = self._clamp_wm(watermark)
-        if cfg.window_kind == "session":
-            emitted, n_late = self._ingest_session(batch, watermark)
-            return self._divert(emitted), n_late
-        batch, ts, src, govern = self._split_late(batch, watermark)
-        if batch.num_rows:
-            self._accumulate(batch, ts, src, govern)
-        emitted = self._finalize_upto(watermark)
-        return self._divert(emitted), self.n_late
+        """Absorb a micro-batch, then finalize every window (session) the
+        watermark passed: the salted engine's protocol with this actor as
+        its own aggregator.  Returns (emitted output tables, late rows so
+        far)."""
+        self._merge([self.ingest_partial(batch, watermark)])
+        return self._finalize_due(self.wm), self.n_late
+
+    def _finalize_due(self, watermark: int) -> list[pa.Table]:
+        if self.cfg.window_kind == "session":
+            return self.finalize_sessions_salted(self._due(watermark))
+        return self.finalize_windows(self._due(watermark, self.buffers))
 
     def _split_late(self, batch: pa.Table, watermark: int):
         """Route the rows whose governing window already finalized to the
@@ -177,7 +247,7 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
         ts = np.asarray(batch["event_ts"], dtype=np.int64)
         src = np.asarray(batch["source"])
         govern = self._governing(ts)
-        late = self._window_ends_vec(govern) <= watermark
+        late = _window_end(govern, self.cfg) <= watermark
         late |= self._finalized_mask(src, govern)
         if late.any():
             self._note_late(batch.filter(pa.array(late)))
@@ -227,9 +297,8 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
 
     def _combo_histograms(self, fb, n_rows: int, src, win, valid):
         """(source, window, hist) partials for one contributing shift —
-        vectorized unique-combo bucketing, shared by :meth:`_accumulate`
-        (which stores into actor state) and :meth:`ingest_partial` (which
-        returns the deltas for the salted aggregator)."""
+        vectorized unique-combo bucketing, the deltas :meth:`ingest_partial`
+        returns."""
         v = np.nonzero(valid)[0]
         if v.size == 0:
             return []
@@ -263,212 +332,6 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
             c = int(c_sorted[a])
             key = (str(s_u[c // span]), int(c % span + g_min))
             self.buffers.setdefault(key, []).append(batch.take(pa.array(order[a:b])))
-
-    def _accumulate(self, batch, ts, src, govern) -> None:
-        fb = flatten_list_column(batch["tokens"])
-        for win, valid in self._contributing(ts):
-            # never recreate an evicted histogram: a contributing window
-            # whose end passed the horizon already ran (and evicted) its
-            # detection — straggler contributions to it are dropped
-            valid = valid & (self._window_ends_vec(win) > self._hist_horizon)
-            for s, w, h in self._combo_histograms(fb, ts.size, src, win, valid):
-                key = (s, w)
-                if key in self.hists:
-                    self.hists[key] += h
-                else:
-                    self.hists[key] = h.copy()
-        self._buffer_by_governing(batch, src, govern)
-
-    # -- finalize / evict -------------------------------------------------
-
-    def _finalize_upto(self, watermark: int) -> list[pa.Table]:
-        """Finalize every buffered window with end <= ``watermark``: decide
-        each one's token in ascending key order (:meth:`_emit_window`),
-        then rewrite them all in one fused round (:meth:`_rewrite_parts`),
-        and evict the due hists.  Returns the round's output tables."""
-        cfg = self.cfg
-        if cfg.detection_mode == "sticky" and self._fixed_wm() is None:
-            # golden.apply_sticky scans EVERY window ascending — including
-            # sliding windows that only ever CONTRIBUTED (no governing rows
-            # buffered here): run the sticky detection over all due hists
-            # first, so a contributing-only window's detection can fix the
-            # source's token.  The sticky entry records WHICH window first
-            # detected: golden fixes the token from that window ONWARD only
-            # — an earlier window finalized in the same call keeps its own
-            # (failed) detection, never the later window's token.
-            for key in sorted(
-                k for k in self.hists if _window_end(k[1], cfg) <= watermark
-            ):
-                if key[0] not in self._sticky:
-                    wm_tok, _cov = detect_wm_token(self.hists[key], cfg)
-                    if wm_tok >= 0:
-                        self._sticky[key[0]] = (wm_tok, key[1])
-        due = sorted(k for k in self.buffers if _window_end(k[1], cfg) <= watermark)
-        out = self._rewrite_parts([self._emit_window(key) for key in due])
-        if cfg.window_kind == "sliding":
-            # Evict a sliding hist only once its window can no longer accept
-            # rows — the same window-end-vs-watermark predicate that governs
-            # finalize/lateness.  (Evicting by min(live buffered window)
-            # drops hists of still-open windows: a window with end >
-            # watermark can legally receive more on-time rows.)
-            for hk in [k for k in self.hists if _window_end(k[1], cfg) <= watermark]:
-                self.hists.pop(hk)
-        # windows with end <= watermark have now had their detection epoch —
-        # advance the horizon so stragglers can't recreate their histograms
-        self._hist_horizon = max(self._hist_horizon, watermark)
-        return out
-
-    def _emit_window(self, key: tuple[str, int]) -> tuple[list[pa.Table], int]:
-        """Take window ``key`` out of the actor: decide its wm token, mark
-        it finalized and evict its buffer and hist.  Returns the
-        ``(buffered tables, wm_token)`` part the caller's fused rewrite
-        emits.  Callers go in ascending key order, which the sticky rule
-        below relies on."""
-        cfg = self.cfg
-        hist = self.hists.get(key)
-        fixed = self._fixed_wm()
-        # sticky mode: first detection wins per source FROM ITS WINDOW
-        # ONWARD (the source's whole key range lives on this actor in
-        # unsalted routing, and windows finalize in ascending order, so
-        # actor-local sticky state matches golden.apply_sticky — which
-        # never rewrites a window EARLIER than the first detecting one;
-        # watermark_detector.py:562-568,188)
-        st = self._sticky.get(key[0]) if cfg.detection_mode == "sticky" else None
-        if fixed is not None:
-            wm_tok = fixed
-        elif st is not None and key[1] >= st[1]:
-            wm_tok = st[0]
-        else:
-            wm_tok, _cov = detect_wm_token(hist, cfg) if hist is not None else (-1, 0.0)
-            if cfg.detection_mode == "sticky" and wm_tok >= 0 and st is None:
-                self._sticky[key[0]] = (wm_tok, key[1])
-        # evict this window's hist; further sliding-hist eviction is
-        # watermark-gated in _finalize_upto (a hist with window end past the
-        # watermark may still receive on-time rows)
-        self.finalized.add(key)
-        self.hists.pop(key, None)
-        return self.buffers.pop(key), int(wm_tok)
-
-    # -- session windows (gap-merge; reference analog: per-document QR
-    # accumulation reset by clear_qr_codes(), watermark_detector.py:143-145) --
-
-    def _ingest_session(self, batch: pa.Table, watermark: int):
-        """Vectorized session ingest: one lexsort per batch, gap-split into
-        micro-sessions per source (np.diff), bulk histograms per segment
-        (batch_histograms), then an interval merge with the open sessions.
-        The gap relation is transitive, so merging sorted intervals with
-        ``next.start <= cur.last + gap`` reproduces row-at-a-time semantics
-        exactly (the reference analog: per-document QR accumulation reset by
-        clear_qr_codes(), watermark_detector.py:143-145)."""
-        cfg = self.cfg
-        batch, frags, late_idx = self._session_fragments(batch)
-        for s, sub, tk, seg_starts, seg_ends, H in frags:
-            merged = self.sessions.get(s, []) + [
-                {
-                    "start": int(tk[a]),
-                    "last": int(tk[b - 1]),
-                    "hist": H[k],
-                    "tables": [sub.slice(a, b - a)],
-                }
-                for k, (a, b) in enumerate(zip(seg_starts, seg_ends))
-            ]
-            self.sessions[s] = merge_session_intervals(merged, cfg.session_gap)
-        emitted = self._finalize_sessions(watermark)
-        if late_idx:
-            self._note_late(batch.take(pa.array(late_idx)))
-        return emitted, self.n_late
-
-    def _session_fragments(self, batch: pa.Table):
-        """Shared session-fragmenting core (unsalted ingest + salted
-        partial): lexsort by (source, ts, doc), per-source lateness filter
-        against the source's closed ``session_horizon``, gap-split into
-        micro-sessions (np.diff), bulk histograms per segment.  Returns
-        ``(sorted_batch, [(source, sub, tk, seg_starts, seg_ends, H)],
-        late_row_indices_into_sorted_batch)``."""
-        cfg = self.cfg
-        late_idx: list[int] = []
-        frags = []
-        if batch.num_rows:
-            ts0 = np.asarray(batch["event_ts"], dtype=np.int64)
-            src0 = np.asarray(batch["source"])
-            doc0 = np.asarray(batch["doc_id"])
-            order = np.lexsort((doc0, ts0, src0))  # by source, then ts, then doc
-            batch = batch.take(pa.array(order))
-            ts, src = ts0[order], src0[order]
-            starts = np.nonzero(np.concatenate([[True], src[1:] != src[:-1]]))[0]
-            ends = np.append(starts[1:], src.size)
-            for st, en in zip(starts, ends):
-                s = str(src[st])
-                tloc = ts[st:en]
-                late_loc = tloc <= self.session_horizon.get(s, -(1 << 62))
-                if late_loc.any():
-                    late_idx.extend((st + np.nonzero(late_loc)[0]).tolist())
-                keep = np.nonzero(~late_loc)[0]
-                if keep.size == 0:
-                    continue
-                sub = batch.take(pa.array(st + keep))
-                tk = tloc[keep]
-                seg_break = np.concatenate([[True], np.diff(tk) > cfg.session_gap])
-                seg_id = (np.cumsum(seg_break) - 1).astype(np.int64)
-                n_seg = int(seg_id[-1]) + 1
-                fb = flatten_list_column(sub["tokens"])
-                H = batch_histograms(fb, seg_id, n_seg, cfg)
-                seg_starts = np.nonzero(seg_break)[0]
-                seg_ends = np.append(seg_starts[1:], tk.size)
-                frags.append((s, sub, tk, seg_starts, seg_ends, H))
-        return batch, frags, late_idx
-
-    def _finalize_sessions(self, watermark: int) -> list[pa.Table]:
-        """Emit every closed session: due sessions' histograms stack into a
-        single vectorized detection (detect_wm_many == detect_wm_token per
-        row), sticky applies per source in ascending start order, and the
-        sessions' rows go through the shared fused rewrite
-        (:meth:`_rewrite_parts`) — per-session kernel overhead does not
-        scale with the number of (typically small) sessions."""
-        cfg = self.cfg
-        due: list[tuple[str, dict]] = []
-        for s in sorted(self.sessions):
-            keep = []
-            for ses in self.sessions[s]:
-                if ses["last"] + cfg.session_gap <= watermark:
-                    due.append((s, ses))
-                else:
-                    keep.append(ses)
-            # a source with no open session leaves no key: the sorted walk
-            # above is per live source, not per source ever seen
-            if keep:
-                self.sessions[s] = keep
-            else:
-                del self.sessions[s]
-        if not due:
-            return []
-        from ..stages.detect import detect_wm_many
-
-        fixed = self._fixed_wm()
-        if fixed is not None:
-            wm_arr = np.full(len(due), fixed, dtype=np.int64)
-        else:
-            wm_arr, _ = detect_wm_many(np.stack([ses["hist"] for _, ses in due]), cfg)
-            if cfg.detection_mode == "sticky":
-                # golden applies sticky across session windows too (window
-                # id = session start; sessions close in ascending start per
-                # source, so actor-local first-detection-wins state matches
-                # golden.apply_sticky; value is a plain token here — the
-                # forward-only rule holds by close order, no from-window
-                # needed)
-                wm_arr = wm_arr.copy()
-                for i, (s, _ses) in enumerate(due):
-                    if s in self._sticky:
-                        wm_arr[i] = self._sticky[s]
-                    elif wm_arr[i] >= 0:
-                        self._sticky[s] = int(wm_arr[i])
-        for s, ses in due:
-            self.session_horizon[s] = max(
-                self.session_horizon.get(s, -(1 << 62)), ses["last"] + cfg.session_gap
-            )
-        return self._rewrite_parts(
-            [(ses["tables"], int(wm_tok)) for (_s, ses), wm_tok in zip(due, wm_arr)]
-        )
 
     def _rewrite_parts(
         self, parts: list[tuple[list[pa.Table], int | np.ndarray]]
@@ -518,7 +381,7 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
             }
         )
 
-    # -- salted protocol (multi-consumer salted engine) -------------------
+    # -- the delta protocol ----------------------------------------------
     #
     # When a hot source is salted across actors, no single actor sees the
     # whole (source, window) histogram or all of a source's session rows.
@@ -526,13 +389,13 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
     # histogram partials per (source, window), or micro-session fragments
     # (source, start, last, hist) — session boundaries are associative
     # interval data too, since the gap relation is transitive.  The
-    # engine's ``_SaltedAggregator`` merges the deltas globally, runs
-    # detection, and fans the agreed wm tokens back out through
-    # ``finalize_windows`` / ``finalize_sessions_salted``.  This is the
-    # salt-and-merge design of SURVEY §4.2.
+    # engine's ``_SaltedAggregator`` merges the deltas globally, decides,
+    # and fans the agreed wm tokens back out through ``finalize_windows`` /
+    # ``finalize_sessions_salted`` — the salt-and-merge design of SURVEY
+    # §4.2.  Unsalted, :meth:`ingest` runs the same three steps in-process.
 
     def ingest_partial(self, batch: pa.Table, watermark: int):
-        """Salted ingest: buffer + return deltas, no local finalize.
+        """Buffer a micro-batch and return its deltas, no finalize.
         Returns (sources, keys, hist_matrix, n_late): keys are windows, or
         (start, last) spans in the session kind."""
         cfg = self.cfg
@@ -555,23 +418,50 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
         return out_src, out_win, Hm, self.n_late
 
     def _session_partial(self, batch: pa.Table):
-        """Session kind of :meth:`ingest_partial`: buffer rows + return the
-        batch's micro-session fragments.  Rows at or below a source's
-        closed horizon (recorded by ``finalize_sessions_salted``) are late —
-        the same rule as the unsalted session path."""
+        """Session kind of :meth:`ingest_partial`: lexsort by (source, ts,
+        doc); rows at or below a source's closed ``session_horizon``
+        (recorded by ``finalize_sessions_salted``) are late; the rest
+        buffer per source in ``_salted_rows`` and gap-split into
+        micro-sessions (np.diff), with bulk histograms per segment."""
         cfg = self.cfg
         out_src: list[str] = []
         spans: list[tuple[int, int]] = []
         hists: list[np.ndarray] = []
-        batch, frags, late_idx = self._session_fragments(batch)
-        for s, sub, tk, seg_starts, seg_ends, H in frags:
-            for k, (a, b) in enumerate(zip(seg_starts, seg_ends)):
-                out_src.append(s)
-                spans.append((int(tk[a]), int(tk[b - 1])))
-                hists.append(H[k])
-            self._salted_rows.setdefault(s, []).append(sub)
-        if late_idx:
-            self._note_late(batch.take(pa.array(late_idx)))
+        if batch.num_rows:
+            ts0 = np.asarray(batch["event_ts"], dtype=np.int64)
+            src0 = np.asarray(batch["source"])
+            doc0 = np.asarray(batch["doc_id"])
+            order = np.lexsort((doc0, ts0, src0))  # by source, then ts, then doc
+            batch = batch.take(pa.array(order))
+            ts, src = ts0[order], src0[order]
+            starts = np.nonzero(np.concatenate([[True], src[1:] != src[:-1]]))[0]
+            ends = np.append(starts[1:], src.size)
+            late_idx: list[int] = []
+            for st, en in zip(starts, ends):
+                s = str(src[st])
+                tloc = ts[st:en]
+                late_loc = tloc <= self.session_horizon.get(s, -(1 << 62))
+                if late_loc.any():
+                    late_idx.extend((st + np.nonzero(late_loc)[0]).tolist())
+                keep = np.nonzero(~late_loc)[0]
+                if keep.size == 0:
+                    continue
+                sub = batch.take(pa.array(st + keep))
+                self._salted_rows.setdefault(s, []).append(sub)
+                tk = tloc[keep]
+                seg_break = np.concatenate([[True], np.diff(tk) > cfg.session_gap])
+                seg_id = (np.cumsum(seg_break) - 1).astype(np.int64)
+                H = batch_histograms(
+                    flatten_list_column(sub["tokens"]), seg_id, int(seg_id[-1]) + 1, cfg
+                )
+                seg_starts = np.nonzero(seg_break)[0]
+                seg_ends = np.append(seg_starts[1:], tk.size)
+                for k, (a, b) in enumerate(zip(seg_starts, seg_ends)):
+                    out_src.append(s)
+                    spans.append((int(tk[a]), int(tk[b - 1])))
+                    hists.append(H[k])
+            if late_idx:
+                self._note_late(batch.take(pa.array(late_idx)))
         Hm = np.stack(hists) if hists else np.zeros((0, cfg.gray_mod), dtype=np.int64)
         return out_src, spans, Hm, self.n_late
 
@@ -644,12 +534,8 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
         return out
 
     def flush(self) -> list[pa.Table]:
-        """End of stream: finalize every remaining window."""
-        if self.cfg.window_kind == "session":
-            out = self._finalize_sessions(1 << 62)
-        else:
-            out = self._finalize_upto(1 << 62)
-        return self._divert(out)
+        """End of stream: finalize every remaining window or session."""
+        return self._finalize_due(1 << 62)
 
     def late_buffer_rows(self) -> int:
         """Rows currently held in the actor's late STAGE buffer (sink
@@ -662,13 +548,12 @@ class KeyedStateActor(_StagedEmitterBase, Resettable):
             "live_windows": len(self.buffers) + live_sessions,
             "live_hists": len(self.hists),
             "buffered_rows": sum(t.num_rows for lst in self.buffers.values() for t in lst)
-            + sum(t.num_rows for v in self.sessions.values() for s in v for t in s["tables"])
             + sum(t.num_rows for lst in self._salted_rows.values() for t in lst),
             "n_late": self.n_late,
             "n_emitted": self.n_emitted,
         }
 
     _CKPT_FIELDS = (
-        "hists", "buffers", "finalized", "_sticky", "_hist_horizon",
+        "hists", "buffers", "finalized", "sticky", "horizon",
         "sessions", "session_horizon", "n_emitted", "_salted_rows", "_outbox",
     )

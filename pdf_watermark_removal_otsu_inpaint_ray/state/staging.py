@@ -192,7 +192,18 @@ class _StagedEmitterBase:
         return pickle.dumps({k: getattr(self, k) for k in fields})
 
     def restore_state(self, blob: bytes) -> None:
-        for k, v in pickle.loads(blob).items():
+        """Restore a ``checkpoint_state`` blob.  Its fields must be exactly
+        this class's: a blob from a build that named its state otherwise
+        would restore into dead attributes and commit wrong output."""
+        state = pickle.loads(blob)
+        fields = ("n_late", "wm", "_late_mem") + self._CKPT_FIELDS
+        if set(state) != set(fields):
+            raise ValueError(
+                f"{type(self).__name__} checkpoint does not match this build: "
+                f"missing fields {sorted(set(fields) - set(state))}, "
+                f"extra fields {sorted(set(state) - set(fields))}"
+            )
+        for k, v in state.items():
             setattr(self, k, v)
 
 
