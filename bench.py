@@ -153,103 +153,49 @@ def main() -> None:
     cfg = DEFAULT_CONFIG.with_(window_kind="tumbling", window_size=64)
 
     if os.environ.get("GRAFT_STREAMING_ONLY"):
-        # stateful-tier scaling probe: the partitioned-consumer streaming
-        # engine with the sink-direct exactly-once output (the multi-node
-        # ingestion shape) — run alone so --scaling-streaming can measure
-        # the stateful tier at two parallelism levels (VERDICT r4 item 7)
+        # stateful-tier scaling probe: the multi-consumer streaming engine
+        # (run_streaming_salted_partitioned at its default salting) with the
+        # sink-direct exactly-once output (the multi-node ingestion shape) —
+        # run alone so --scaling-streaming can measure the stateful tier at
+        # two parallelism levels (VERDICT r4 item 7)
         import shutil as _sh
 
         from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
-            run_streaming_partitioned,
+            run_streaming_salted_partitioned,
         )
 
         # topology scales WITH the cluster (the faithful multi-node read:
         # more nodes bring more log consumers AND more state actors).
         # Measured split at this workload: the state actors carry ~3x the
-        # consumer-side work (keyed state + rewrite + sink staging vs
-        # decode + route), so actors get 3/4 of the cpus; mb=8192
-        # amortizes per-micro-batch coordination (knob sweep in round 5:
-        # 4/4@2048 26.5s → 6/2@8192 17.2s at 8 cpus, 1.2M rows).
+        # consumer-side work (state + rewrite + sink staging vs decode +
+        # route), so actors get 3/4 of the cpus; mb=8192 amortizes
+        # per-micro-batch coordination (knob sweep in round 5: 4/4@2048
+        # 26.5s → 6/2@8192 17.2s at 8 cpus, 1.2M rows).
         n_actors_p = max(1, NUM_CPUS * 3 // 4)
         n_consumers_p = max(1, NUM_CPUS // 4)
-        # GRAFT_STREAM_ENGINE=salted swaps in the multi-consumer SALTED
-        # engine (the past-the-keyed-ceiling path) for the same probe;
-        # the keyed routing table below is skipped there (unused)
-        engine = os.environ.get("GRAFT_STREAM_ENGINE", "keyed")
-        # The stream's source universe is small and zipf-skewed, so hash
-        # routing pigeonholes (measured: 52% of rows on one of 4 actors).
-        # Build a WEIGHTED (LPT greedy) source→actor table from the first
-        # chunk's counts (every chunk carries the same zipf mix) — the
-        # operator-supplied routing table of run_streaming_partitioned.
-        # A hot HEAD source still lower-bounds the critical path (keyed
-        # state is order-dependent: one source = one actor); the scaling
-        # probe therefore runs GRAFT_STREAM_SOURCES=64 (zipf head ~21%),
-        # the realistic many-source regime, set by --scaling-streaming.
-        import collections as _coll
-
-        import pyarrow.parquet as _pqs
-
-        smap = None
-        if engine != "salted":
-            first = sorted(
-                os.path.join(stream, f)
-                for f in os.listdir(stream) if f.endswith(".parquet")
-            )[0]
-            counts = _coll.Counter(
-                _pqs.read_table(first, columns=["source"])["source"].to_pylist()
-            )
-            # cover the WHOLE source universe, not just chunk 0's: a zipf-tail
-            # source absent from the first chunk would otherwise fail the
-            # routing-coverage check mid-run (the universe is known — synth
-            # names sources src00..srcNN)
-            for i in range(int(os.environ.get("GRAFT_STREAM_SOURCES", "8"))):
-                counts.setdefault(f"src{i:02d}", 0)
-            loads = [0] * n_actors_p
-            smap = {}
-            for src, cnt in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-                a = min(range(n_actors_p), key=loads.__getitem__)
-                smap[src] = a
-                loads[a] += cnt
-        if engine == "salted":
-            from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
-                run_streaming_salted_partitioned,
-            )
         best = None
         for _ in range(2):
             psink = os.path.join(
                 BENCH_OUT, f"pscale_{NUM_CPUS}_{int(time.time() * 1e6)}"
             )
             t0 = time.perf_counter()
-            if engine == "salted":
-                res, _pm = run_streaming_salted_partitioned(
-                    stream, cfg, n_actors=n_actors_p,
-                    salt_buckets=min(8, max(2, n_actors_p)),
-                    n_partitions=n_consumers_p, micro_batch_rows=8192,
-                    out_dir=psink, num_partitions=max(16, NUM_CPUS),
-                )
-            else:
-                res, _pm = run_streaming_partitioned(
-                    stream, cfg, n_actors=n_actors_p,
-                    n_partitions=n_consumers_p, micro_batch_rows=8192,
-                    out_dir=psink, num_partitions=max(16, NUM_CPUS),
-                    source_map=smap,
-                )
+            res, _pm = run_streaming_salted_partitioned(
+                stream, cfg, n_actors=n_actors_p,
+                n_partitions=n_consumers_p, micro_batch_rows=8192,
+                out_dir=psink, num_partitions=max(16, NUM_CPUS),
+            )
             dt = time.perf_counter() - t0
             committed = int(res.commit_report["row_count"].to_pandas().sum())
             assert committed + res.n_late == n_rows, (committed, res.n_late)
             _sh.rmtree(psink, ignore_errors=True)
             best = dt if best is None else min(best, dt)
-        label = (
-            "streaming_salted_mc_sink" if engine == "salted"
-            else "streaming_partitioned_sink"
-        )
         print(
             json.dumps(
                 {
-                    "metric": f"{label} sec",
+                    "metric": "streaming_partitioned_sink sec",
                     "value": round(best, 3),
                     "unit": "sec",
-                    "queries": {label: round(best, 3)},
+                    "queries": {"streaming_partitioned_sink": round(best, 3)},
                     "sf": SF_DIR,
                     "num_cpus": NUM_CPUS,
                     "bench_rows": n_rows,
@@ -366,25 +312,25 @@ def main() -> None:
         timings["streaming_session"] = round(time.perf_counter() - t0, 3)
         assert res3.output.num_rows + res3.n_late == n_rows
 
-        # partitioned-log streaming: parallel consumers, per-partition
-        # watermarks (the multi-node ingestion shape)
+        # multi-consumer streaming: parallel consumers, per-partition
+        # watermarks (the multi-node ingestion shape), default salting
         from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
-            run_streaming_partitioned,
+            run_streaming_salted_partitioned,
         )
 
         t0 = time.perf_counter()
-        res4, _pmetrics = run_streaming_partitioned(
+        res4, _pmetrics = run_streaming_salted_partitioned(
             stream, cfg, n_actors=max(2, NUM_CPUS // 4),
             n_partitions=max(2, NUM_CPUS // 8), micro_batch_rows=2048,
         )
         timings["streaming_partitioned"] = round(time.perf_counter() - t0, 3)
         assert res4.output.num_rows + res4.n_late == n_rows
 
-        # partitioned consumers + sink-direct exactly-once output: the full
+        # the same consumers + sink-direct exactly-once output: the full
         # multi-node ingestion shape (no rewritten or late row on the driver)
         psink = os.path.join(BENCH_OUT, f"pstream_sink_{NUM_CPUS}_{int(time.time() * 1e6)}")
         t0 = time.perf_counter()
-        res5, _pm5 = run_streaming_partitioned(
+        res5, _pm5 = run_streaming_salted_partitioned(
             stream, cfg, n_actors=max(2, NUM_CPUS // 4),
             n_partitions=max(2, NUM_CPUS // 8), micro_batch_rows=2048,
             out_dir=psink, num_partitions=max(16, NUM_CPUS),
@@ -939,8 +885,8 @@ def parity() -> None:
 
 
 def scaling_streaming() -> None:
-    """Two-level scaling of the STATEFUL tier (run_streaming_partitioned,
-    sink-direct) — same protocol as --scaling: fresh processes per
+    """Two-level scaling of the STATEFUL tier
+    (run_streaming_salted_partitioned, sink-direct) — same protocol as --scaling: fresh processes per
     parallelism level on the same cached, page-warm stream."""
     lo_cpus = int(os.environ.get("GRAFT_SCALE_LO", "2"))
     hi_cpus = int(os.environ.get("GRAFT_SCALE_HI", "8"))
@@ -979,7 +925,7 @@ def scaling_streaming() -> None:
             {
                 "metric": (
                     f"scaling efficiency {lo_cpus}->{hi_cpus} cpus "
-                    f"({'streaming_salted_mc_sink' if os.environ.get('GRAFT_STREAM_ENGINE') == 'salted' else 'streaming_partitioned_sink'})"
+                    "(streaming_partitioned_sink)"
                 ),
                 "cpus": [lo_cpus, hi_cpus],
                 "sec_lo": t_lo,

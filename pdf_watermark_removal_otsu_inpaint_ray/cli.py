@@ -194,18 +194,17 @@ def main(argv: list[str] | None = None) -> int:
     r.add_argument("--streaming", action="store_true",
                    help="incremental engine (single read, keyed state actors)")
     r.add_argument("--streaming-topology", default="single",
-                   choices=("single", "partitioned", "salted"),
+                   choices=("single", "salted"),
                    help="streaming only: single (one consumer, keyed "
-                        "actors, checkpointable), partitioned (one "
-                        "consumer per input file-partition, keyed "
-                        "actors), salted (parallel consumers + salted "
-                        "actors — the hot-source scale path)")
+                        "actors, checkpointable), salted (one consumer "
+                        "per input file-partition + salted actors — the "
+                        "hot-source scale path)")
     r.add_argument("--checkpoint-every", type=int, default=None,
                    help="streaming topology=single only: snapshot actor "
                         "state every N micro-batches; a rerun resumes "
                         "from the last checkpoint replaying only the log "
-                        "tail (the partitioned topologies recover by "
-                        "whole-run replay against the exactly-once sink)")
+                        "tail (the salted topology recovers by whole-run "
+                        "replay against the exactly-once sink)")
     r.add_argument("--overwrite", action="store_true",
                    help="recommit over an existing output dir instead of "
                         "resuming (skipping already-committed partitions)")
@@ -282,17 +281,10 @@ def main(argv: list[str] | None = None) -> int:
             if args.streaming_topology != "single" and args.checkpoint_every is not None:
                 raise SystemExit(
                     "--checkpoint-every requires "
-                    "--streaming-topology single (the partitioned "
-                    "topologies recover by whole-run replay)"
+                    "--streaming-topology single (the salted topology "
+                    "recovers by whole-run replay)"
                 )
-            if args.streaming_topology == "partitioned":
-                from .pipelines.streaming import run_streaming_partitioned
-
-                res, _metrics = run_streaming_partitioned(
-                    run_input, cfg, out_dir=args.output,
-                    num_partitions=args.partitions,
-                )
-            elif args.streaming_topology == "salted":
+            if args.streaming_topology == "salted":
                 from .pipelines.streaming import (
                     run_streaming_salted_partitioned,
                 )

@@ -131,6 +131,9 @@ def scaled_parts(base: int, num_parts: int | None = None) -> int:
 def scaled_pool(base_min: int, base_max: int) -> tuple[int, int]:
     """Actor-pool ``concurrency=(min, max)`` range: the max cap (tuned so a
     pool shares the 32-cpu box with its peers) scales with the cluster so
-    pools can widen onto new nodes; the min stays put (warm-start cost)."""
-    scale = max(1, cluster_cpus() // _REFERENCE_CPUS)
-    return (int(base_min), int(base_max) * scale)
+    pools can widen onto new nodes; the min stays put (warm-start cost) but
+    never exceeds ``cluster cpus - 1``: a minimum that holds every cpu
+    leaves none for the read tasks that feed the pool, and the job stalls."""
+    cpus = cluster_cpus()
+    lo = min(int(base_min), max(1, cpus - 1))
+    return (lo, max(lo, int(base_max) * max(1, cpus // _REFERENCE_CPUS)))

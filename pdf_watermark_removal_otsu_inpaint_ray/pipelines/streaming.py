@@ -8,18 +8,21 @@ the global watermark (WatermarkTracker, min across input partitions −
 allowed_lateness) passes their end, state is evicted on emit, late rows go
 to a counted side output.
 
-Data flow: each input partition is consumed as Arrow micro-batches; rows are
-routed to ``hash(source) % n_actors`` (all rows of one source meet the same
-actor — the partitioning assumption this engine relies on; hot sources can
-be salted because histogram partials merge associatively).  The driver moves
-only object refs and watermark updates, never token data — at cluster scale
-the same loop runs one consumer task per input partition.
+Two inpaint engines share the state actors and the decide step
+(``state.keyed_state``).  ``run_streaming`` is the single-consumer,
+checkpointable one: the driver reads the log as Arrow micro-batches and
+routes each row to ``hash(source) % n_actors``, so all rows of one source
+meet the same actor, which decides its windows in-process.
+``run_streaming_salted_partitioned`` is the multi-consumer one: one
+consumer task per input partition salts a hot source's rows over several
+actors, and a ``_SaltedAggregator`` merges their histogram partials
+(associative) and decides.  Neither driver moves token data, only object
+refs and watermark updates.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import threading
 from dataclasses import dataclass, field
 
@@ -38,8 +41,8 @@ from ..state.watermark_tracker import WatermarkTracker
 def _resolve_parquet_paths(source: str) -> list[str]:
     """A stream source path → its file list in guaranteed arrival order
     (lexicographic — stream chunks are named in time order).  ONE definition
-    shared by the single-consumer and partitioned engines so their notion of
-    arrival order can never desynchronize; the file rule is the one
+    shared by the single-consumer and multi-consumer engines so their notion
+    of arrival order can never desynchronize; the file rule is the one
     ``read_sequences`` gives Ray Data (``sources.parquet.is_parquet_file``)."""
     import os
 
@@ -269,7 +272,8 @@ def _finalize_sink(
     # late rows this commits nothing and returns an empty report
     lrep = finalize_staged(late_dir(out_dir), epoch=epoch)
     # north-star metrics land WITH the lineage manifests: per-actor state
-    # stats + (partitioned mode) per-partition throughput and watermark lag
+    # stats + (multi-consumer engine) per-partition throughput and watermark
+    # lag
     _atomic_write_bytes(
         _os.path.join(out_dir, "_manifests", "run_metrics.json"),
         _json.dumps(
@@ -668,22 +672,35 @@ def run_streaming(
         )
 
 
+def _salted_route(batch: pa.Table, salt_buckets: int, n_actors: int) -> np.ndarray:
+    """Vectorized ``hash(source, salt(doc_id)) % n_actors`` routing: a hot
+    source spreads over up to ``salt_buckets`` actors, with no per-row
+    Python string building in the consumer (the salted path exists
+    precisely because consumers must keep up with a hot key)."""
+    salt = hash_partition_ids(batch["doc_id"].combine_chunks(), salt_buckets)
+    src_h = hash_partition_ids(batch["source"].combine_chunks(), 1 << 30)
+    return ((src_h * np.int64(salt_buckets) + salt) * np.int64(1_000_003)) % n_actors
+
+
 @ray.remote(max_retries=0)
 def _consume_partition(
     partition_id: int,
     paths: list[str],
     tracker,
     micro_batch_rows: int,
-    send,
-    aggregator=None,
+    actors: list,
+    aggregator,
+    salt_buckets: int,
 ) -> dict:
-    """One consumer task per input partition of the partitioned engines:
-    read its file list in order, hand each micro-batch to ``send(batch,
-    wm)`` (the engine's routing and sends; it returns the refs whose acks
-    prove the batch arrived) and advance this partition's watermark.  With
-    the salted engine's ``aggregator``, each watermark refresh also asks it
-    to finalize the windows now due.  Returns per-partition throughput and
-    watermark-lag metrics (one schema for both engines' run_metrics.json).
+    """One consumer task per input partition of the multi-consumer engine:
+    read its file list in order, send each micro-batch's salted rows to
+    the state actors (``ingest_partial``) and their deltas to the
+    ``aggregator`` (``add``), and advance this partition's watermark.  The
+    aggregator receives the RESOLVED delta tuples (Ray dereferences
+    top-level ObjectRef args), so its one ack covers buffer + merge — the
+    consumer never blocks on deltas.  Each watermark refresh also asks the
+    aggregator to finalize the windows now due.  Returns per-partition
+    throughput and watermark-lag metrics (the run_metrics.json schema).
 
     ``max_retries=0`` (review finding): ingestion is NOT replay-idempotent —
     a silent Ray re-execution of a half-finished consumer would re-send every
@@ -699,33 +716,33 @@ def _consume_partition(
     t0 = time.perf_counter()
     rows = 0
     max_ts = None
-    # The tracker may only learn a batch's max_ts AFTER its acks: the
+    # The tracker may only learn a batch's max_ts AFTER its ack: the
     # watermark contract is "no more rows <= wm will ARRIVE", and arrival
-    # means delivered to the state actor (and, salted, merged by the
-    # aggregator) — not merely sent.  A faster partition's wm would
-    # otherwise finalize windows whose rows from a slower partition are
-    # still in the actor's mailbox (the monotonic actor watermark then
-    # correctly — but wrongly — lates them).
-    inflight: deque = deque()  # (batch_max_ts, [ack refs]) in send order
+    # means buffered by a state actor and merged by the aggregator — not
+    # merely sent.  A faster partition's wm would otherwise finalize windows
+    # whose rows from a slower partition are still in the actor's mailbox
+    # (the monotonic actor watermark then correctly — but wrongly — lates
+    # them).
+    inflight: deque = deque()  # (batch_max_ts, aggregator ack) in send order
 
     def drain(max_depth: int) -> None:
         """Pop acked heads (non-blocking), then block only until the queue
         is back under ``max_depth`` — never stall the whole pipeline to
         depth 0 on a high-water mark."""
         while inflight:
-            head_mx, head_refs = inflight[0]
-            ready, _ = ray.wait(head_refs, num_returns=len(head_refs), timeout=0)
-            if len(ready) < len(head_refs):
+            head_mx, head_ref = inflight[0]
+            ready, _ = ray.wait([head_ref], timeout=0)
+            if not ready:
                 break
             inflight.popleft()
-            # ray.get even though ready (cheap — acks carry ints/None): a
+            # ray.get even though ready (cheap — the ack is None): a
             # ready-but-ERRORED ack must re-raise here, not advance the
             # watermark past a batch whose rows were never buffered
-            ray.get(head_refs)
+            ray.get(head_ref)
             tracker.update.remote(partition_id, head_mx)
         while len(inflight) > max_depth:
-            head_mx, head_refs = inflight.popleft()
-            ray.get(head_refs)
+            head_mx, head_ref = inflight.popleft()
+            ray.get(head_ref)
             tracker.update.remote(partition_id, head_mx)
 
     wm = -(1 << 62)
@@ -740,22 +757,25 @@ def _consume_partition(
         # bound suffices; staleness only delays finalization)
         if batch_idx % 4 == 0:
             wm = max(wm, ray.get(tracker.watermark.remote()))
-            if aggregator is not None:
-                # not awaited: finalization timing only delays emission —
-                # every due window's deltas are provably merged once the
-                # ack-gated global wm passed its end; a failure is kept by
-                # the aggregator and raised from final_flush
-                aggregator.maybe_finalize.remote(wm)
+            # not awaited: finalization timing only delays emission — every
+            # due window's deltas are provably merged once the ack-gated
+            # global wm passed its end; a failure is kept by the aggregator
+            # and raised from final_flush
+            aggregator.maybe_finalize.remote(wm)
             if wm > -(1 << 61):
                 lag = int(ts.max()) - wm
                 lag_sum += lag
                 lag_max = lag if lag_max is None else max(lag_max, lag)
                 lag_n += 1
         batch_idx += 1
-        refs = send(batch, wm)
+        deltas = [
+            actors[a].ingest_partial.remote(batch.take(idx), wm)
+            for a, idx in _by_actor(_salted_route(batch, salt_buckets, len(actors)), len(actors))
+            if idx.size
+        ]
         mx = int(ts.max())
         max_ts = mx if max_ts is None else max(max_ts, mx)
-        inflight.append((mx, refs))
+        inflight.append((mx, aggregator.add.remote(*deltas)))
         rows += batch.num_rows
         drain(max_depth=8)
     drain(max_depth=0)
@@ -770,147 +790,6 @@ def _consume_partition(
         "wm_lag_max": lag_max,
         "wm_lag_avg": round(lag_sum / lag_n, 1) if lag_n else None,
     }
-
-
-def _send_keyed(actors: list, source_route, batch: pa.Table, wm: int) -> list:
-    """The keyed partitioned engine's per-batch send: each source's rows to
-    its actor (``source_route``: an explicit balanced ``(sources, actor
-    ids)`` table for small key universes, else hash routing)."""
-    if source_route is not None:
-        rkeys, rids = source_route
-        sv = np.asarray(batch["source"].combine_chunks().to_numpy(zero_copy_only=False))
-        pos = np.clip(np.searchsorted(rkeys, sv), 0, rkeys.size - 1)
-        if not (rkeys[pos] == sv).all():
-            missing = sorted(set(sv) - set(rkeys))[:5]
-            raise ValueError(
-                f"source_map does not cover sources {missing} — "
-                "explicit routing must cover the whole key universe"
-            )
-        route = rids[pos]
-    else:
-        route = hash_partition_ids(batch["source"].combine_chunks(), len(actors))
-    return [
-        actors[a].ingest_keep.remote(batch.take(idx), wm)
-        for a, idx in _by_actor(route, len(actors))
-        if idx.size
-    ]
-
-
-def _salted_route(batch: pa.Table, salt_buckets: int, n_actors: int) -> np.ndarray:
-    """Vectorized ``hash(source, salt(doc_id)) % n_actors`` routing: a hot
-    source spreads over up to ``salt_buckets`` actors, with no per-row
-    Python string building in the consumer (the salted path exists
-    precisely because consumers must keep up with a hot key)."""
-    salt = hash_partition_ids(batch["doc_id"].combine_chunks(), salt_buckets)
-    src_h = hash_partition_ids(batch["source"].combine_chunks(), 1 << 30)
-    return ((src_h * np.int64(salt_buckets) + salt) * np.int64(1_000_003)) % n_actors
-
-
-def _send_salted(actors: list, aggregator, salt_buckets: int, batch: pa.Table, wm: int) -> list:
-    """The salted multi-consumer engine's per-batch send: salted rows to
-    the actors, their ingest deltas to the aggregator.  The aggregator
-    receives the RESOLVED delta tuples (Ray dereferences top-level
-    ObjectRef args), so its one ack covers buffer + merge — the consumer
-    never blocks on deltas."""
-    refs = [
-        actors[a].ingest_partial.remote(batch.take(idx), wm)
-        for a, idx in _by_actor(_salted_route(batch, salt_buckets, len(actors)), len(actors))
-        if idx.size
-    ]
-    return [aggregator.add.remote(*refs)]
-
-
-def run_streaming_partitioned(
-    source: str | list[str],
-    cfg: EngineConfig = DEFAULT_CONFIG,
-    *,
-    n_actors: int = 4,
-    n_partitions: int = 4,
-    micro_batch_rows: int = 1024,
-    out_dir: str | None = None,
-    num_partitions: int | None = None,
-    source_map: dict | None = None,
-) -> tuple[StreamingResult, list[dict]]:
-    """Partitioned-log streaming: one parallel consumer task per input
-    partition, per-partition watermarks merged (min) by the tracker, keyed
-    state actors shared across consumers.
-
-    ``source_map`` (source → actor index, must cover every source in the
-    stream): explicit balanced routing for SMALL key universes.  The
-    default hash routing balances naturally once distinct sources ≫
-    actors (the web-scale regime), but e.g. 8 sources on 4 actors can
-    pigeonhole 3 sources onto one actor and make it the critical path —
-    the Kafka-partition-assignment fix is an explicit table, chosen by
-    the operator who knows the universe (all of a source's rows still
-    land on ONE actor, so state semantics are unchanged).
-
-    Recovery design (deliberate split): this multi-consumer shape recovers
-    by WHOLE-RUN replay against the exactly-once sink (kill-and-replay
-    byte-equal, tested) — a fine-grained state checkpoint here would need
-    a consistent cut across concurrently-ingesting consumers (a
-    Chandy-Lamport barrier through the actor pool); the
-    single-consumer engine (`run_streaming(checkpoint_every=…)`) is the
-    variant that offers tail-only checkpoint resume.
-
-    The global watermark is ``min over open partitions (max_ts) −
-    allowed_lateness``, so cross-partition skew only delays finalization —
-    it can never produce false lates.  Input files are assigned round-robin
-    (files are time-ordered chunks, keeping partitions roughly in lockstep).
-
-    ``out_dir``: optional exactly-once sink (this is the multi-node
-    ingestion shape): finalized windows stage straight from each state
-    actor into the sink layout, late rows into ``<out_dir>/_late``, and the
-    driver only commits manifests at end of stream — no rewritten or late
-    row ever rides the driver.  Read back with ``read_output(out_dir)`` /
-    ``read_late(out_dir)``.  Returns (StreamingResult, per-partition
-    metrics).  As in ``run_streaming``, the actors and tracker are leased
-    from the session's warm pool and reset between calls.
-    """
-    groups = _split_log(source, n_partitions)
-    source_route = None
-    if source_map is not None:
-        skeys = np.array(sorted(source_map), dtype=object)
-        sids = np.array([int(source_map[k]) for k in skeys], np.int64)
-        bad = (sids < 0) | (sids >= n_actors)
-        if bad.any():
-            # silently %-wrapping would stack the re-mapped sources onto
-            # the actors the explicit table was built to relieve
-            raise ValueError(
-                f"source_map assigns actors outside [0, {n_actors}): "
-                f"{sorted(skeys[bad][:5].tolist())}"
-            )
-        source_route = (skeys, sids)
-
-    sink = _sink_args(out_dir, num_partitions)
-    with _leased_actors(cfg, n_actors, len(groups), sink) as (actors, tracker, _):
-        send = functools.partial(_send_keyed, actors, source_route)
-        consumer_refs = [
-            _consume_partition.remote(i, g, tracker, micro_batch_rows, send)
-            for i, g in enumerate(groups)
-        ]
-        emitted: list[pa.Table] = []
-        if out_dir is None:
-            # drain actor outboxes WHILE consumers run: without this the
-            # whole rewritten output accumulates in actor memory until end
-            # of stream (sink mode diverts emissions to storage, so nothing
-            # to drain)
-            pending = list(consumer_refs)
-            while pending:
-                _done, pending = ray.wait(pending, timeout=0.25)
-                for tables in ray.get([a.take_outbox.remote() for a in actors]):
-                    emitted.extend(tables)
-        metrics = ray.get(consumer_refs)
-        for tables in ray.get([a.flush.remote() for a in actors]):
-            emitted.extend(tables)
-        for tables in ray.get([a.take_outbox.remote() for a in actors]):
-            emitted.extend(tables)
-        # the per-partition throughput/wm-lag metrics persist with the
-        # lineage manifests
-        res = _gather(
-            actors, emitted, out_dir, sink["sink_epoch"], _inpaint_output,
-            consumer_metrics=metrics,
-        )
-    return res, metrics
 
 
 @ray.remote
@@ -993,36 +872,53 @@ def run_streaming_salted_partitioned(
     out_dir: str | None = None,
     num_partitions: int | None = None,
 ) -> tuple[StreamingResult, list[dict]]:
-    """MULTI-CONSUMER salted streaming — the scale path past the keyed
-    hot-source ceiling.  The keyed engines bind each source to one actor
-    (order-dependent state), so a source carrying p of the stream caps
-    speedup at 1/p (measured: the 21%-head zipf stream flatlines at ~5
-    actors).  Here detection state is ASSOCIATIVE — histogram partials
-    per (source, window), or micro-session fragments that gap-merge — so
-    a hot source spreads across ``salt_buckets`` actors while consumers
-    run in parallel and a ``_SaltedAggregator`` actor merges the deltas
-    and decides every window's token.
+    """The multi-consumer inpaint engine: one parallel consumer task per
+    input partition, per-partition watermarks merged (min) by the tracker,
+    state actors shared across consumers.  ``run_streaming`` binds each
+    source to one actor (order-dependent state), so a source carrying p of
+    the stream caps speedup at 1/p (measured: the 21%-head zipf stream
+    flatlines at ~5 actors).  Here detection state is ASSOCIATIVE —
+    histogram partials per (source, window), or micro-session fragments
+    that gap-merge — so a hot source spreads across ``salt_buckets``
+    actors while consumers run in parallel and a ``_SaltedAggregator``
+    actor merges the deltas and decides every window's token.
+    ``salt_buckets=1`` puts every row of a source on one actor.
 
-    Ordering/arrival contract (same proof shape as the keyed partitioned
-    engine, one hop longer): a consumer advances its partition watermark
+    Ordering/arrival contract: a consumer advances its partition watermark
     only after the aggregator acked ``add`` over the actors' resolved
-    ingest deltas, so when the MIN watermark passes a window's end +
-    lateness, every one of its rows is buffered in some actor and every
-    histogram delta is merged — finalization is then safe anywhere in
-    time.  Every window kind (tumbling, sliding, session, global), with
-    windowed, sticky or fixed-token detection.  Recovery: whole-run
-    replay against the exactly-once sink (sink layouts dedup by epoch),
-    as for ``run_streaming_partitioned``.  The state actors, the tracker
-    and the aggregator are leased from the session's warm pool and reset
-    between calls, as in ``run_streaming``."""
+    ingest deltas, so when the MIN watermark (``min over open partitions
+    (max_ts) − allowed_lateness``) passes a window's end, every one of its
+    rows is buffered in some actor and every histogram delta is merged —
+    finalization is then safe anywhere in time, and cross-partition skew
+    only delays it, never produces false lates.  Input files are assigned
+    round-robin (files are time-ordered chunks, keeping partitions roughly
+    in lockstep).  Every window kind (tumbling, sliding, session, global),
+    with windowed, sticky or fixed-token detection.
+
+    Recovery design (deliberate split): this shape recovers by WHOLE-RUN
+    replay against the exactly-once sink (sink layouts dedup by epoch;
+    kill-and-replay byte-equal, tested) — a fine-grained state checkpoint
+    here would need a consistent cut across concurrently-ingesting
+    consumers (a Chandy-Lamport barrier through the actor pool); the
+    single-consumer engine (``run_streaming(checkpoint_every=…)``) is the
+    variant that offers tail-only checkpoint resume.
+
+    ``out_dir``: optional exactly-once sink: finalized windows stage
+    straight from each state actor into the sink layout, late rows into
+    ``<out_dir>/_late``, and the driver only commits manifests at end of
+    stream.  Read back with ``read_output(out_dir)`` / ``read_late(out_dir)``.
+    Returns (StreamingResult, per-partition metrics).  The state actors,
+    the tracker and the aggregator are leased from the session's warm pool
+    and reset between calls, as in ``run_streaming``."""
     groups = _split_log(source, n_partitions)
     sink = _sink_args(out_dir, num_partitions)
     with _leased_actors(cfg, n_actors, len(groups), sink, aggregator=True) as (
         actors, tracker, aggregator,
     ):
-        send = functools.partial(_send_salted, actors, aggregator, salt_buckets)
         consumer_refs = [
-            _consume_partition.remote(i, g, tracker, micro_batch_rows, send, aggregator)
+            _consume_partition.remote(
+                i, g, tracker, micro_batch_rows, actors, aggregator, salt_buckets
+            )
             for i, g in enumerate(groups)
         ]
         emitted: list[pa.Table] = []

@@ -10,13 +10,14 @@ first-detection-wins rule) and evict its state — watermark-driven eviction
 per SURVEY.md §2.9.  It runs in two placements:
 
 * in-process in :class:`KeyedStateActor`, when each source's rows all meet
-  one actor (``run_streaming``, ``run_streaming_partitioned``): ``ingest``
-  buffers a micro-batch, merges its own deltas and finalizes what is due,
-  with no hop;
-* in the salted engine's ``_SaltedAggregator`` actor, when a hot source is
-  salted across actors (``run_streaming_salted_partitioned``): the actors
-  buffer and return their deltas (``ingest_partial``), and the aggregator
-  merges them and fans the decided tokens back out.
+  one actor (the single-consumer ``run_streaming``): ``ingest`` buffers a
+  micro-batch, merges its own deltas and finalizes what is due, with no
+  hop;
+* in the multi-consumer engine's ``_SaltedAggregator`` actor
+  (``run_streaming_salted_partitioned``), where a hot source is salted
+  across actors: the actors buffer and return their deltas
+  (``ingest_partial``), and the aggregator merges them and fans the
+  decided tokens back out.
 
 Either way the actor applies the decisions through ``finalize_windows`` or
 ``finalize_sessions_salted``, which rewrite a whole round in one
@@ -203,7 +204,6 @@ class KeyedStateActor(_WindowDecisions, _StagedEmitterBase, Resettable):
         # are late
         self.session_horizon: dict[str, int] = {}
         self.n_emitted = 0
-        self._outbox: list[pa.Table] = []
 
     def _clamp_wm(self, watermark: int) -> int:
         # Actor-local watermark is MONOTONIC: parallel consumers can deliver
@@ -517,22 +517,6 @@ class KeyedStateActor(_WindowDecisions, _StagedEmitterBase, Resettable):
     def buffered_keys(self) -> list[tuple[str, int]]:
         return sorted(self.buffers)
 
-    # -- multi-consumer protocol (partitioned log ingestion) --------------
-
-    def ingest_keep(self, batch: pa.Table, watermark: int) -> int:
-        """Like :meth:`ingest`, but emitted windows accumulate in an actor
-        outbox instead of riding the ack (consumers from several input
-        partitions feed one actor; the driver drains the outbox).  Returns
-        the number of rows emitted so far."""
-        emitted, _ = self.ingest(batch, watermark)
-        self._outbox.extend(emitted)
-        return self.n_emitted
-
-    def take_outbox(self) -> list[pa.Table]:
-        out = self._outbox
-        self._outbox = []
-        return out
-
     def flush(self) -> list[pa.Table]:
         """End of stream: finalize every remaining window or session."""
         return self._finalize_due(1 << 62)
@@ -555,5 +539,5 @@ class KeyedStateActor(_WindowDecisions, _StagedEmitterBase, Resettable):
 
     _CKPT_FIELDS = (
         "hists", "buffers", "finalized", "sticky", "horizon",
-        "sessions", "session_horizon", "n_emitted", "_salted_rows", "_outbox",
+        "sessions", "session_horizon", "n_emitted", "_salted_rows",
     )

@@ -104,13 +104,6 @@ def _keyed(src, out, **kw):
     )
 
 
-def _partitioned(src, out):
-    return st.run_streaming_partitioned(
-        src, TUMBLING, n_actors=N_ACTORS, n_partitions=2, micro_batch_rows=64,
-        out_dir=out, num_partitions=5,
-    )[0]
-
-
 def _salted_mc(src, out, cfg=TUMBLING, micro_batch_rows=64):
     return st.run_streaming_salted_partitioned(
         src, cfg, n_actors=N_ACTORS, salt_buckets=3, n_partitions=2,
@@ -125,7 +118,6 @@ def _no_prepare(src, out):
 TOPOLOGIES = {
     "keyed": (_no_prepare, _keyed),
     "keyed_checkpoint_resume": _crash_then_resume(_keyed),
-    "partitioned": (_no_prepare, _partitioned),
     # the unrelated run is sticky over the same source names, so a sticky
     # map that survived reset would change this run's tokens
     "salted": (_no_prepare, functools.partial(_salted_mc, cfg=STICKY)),

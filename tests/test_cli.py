@@ -107,11 +107,12 @@ def test_cli_resume_notice_and_overwrite(ray_session, tmp_path, capsys):
 
 
 def test_cli_streaming_topologies(ray_session, tmp_path, capsys):
-    """--streaming-topology partitioned|salted run the multi-consumer
-    engines from the CLI and commit the same doc_id set as the default
-    single-consumer topology (salted: the same tokens too, with session and
-    global windows); --checkpoint-every is rejected there (the partitioned
-    topologies recover by whole-run replay)."""
+    """--streaming-topology salted runs the multi-consumer engine from the
+    CLI and commits the same doc_ids and tokens as the default
+    single-consumer topology, with tumbling, session and global windows;
+    --checkpoint-every is rejected there (the salted topology recovers by
+    whole-run replay), and the removed keyed multi-consumer topology
+    ``partitioned`` is an argparse error."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -122,7 +123,7 @@ def test_cli_streaming_topologies(ray_session, tmp_path, capsys):
     src_ids = sorted(pq.read_table(p)["doc_id"].to_pylist())
     from pdf_watermark_removal_otsu_inpaint_ray.sinks.exactly_once import read_output
 
-    for topo in ("single", "partitioned", "salted"):
+    for topo in ("single", "salted"):
         out_dir = str(tmp_path / f"out_{topo}")
         rc = main(
             ["run", "--input", p, "--output", out_dir, "--partitions", "4",
@@ -165,3 +166,10 @@ def test_cli_streaming_topologies(ray_session, tmp_path, capsys):
              "--streaming", "--streaming-topology", "salted",
              "--checkpoint-every", "5"]
         )
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["run", "--input", p, "--output", str(tmp_path / "out_gone"),
+             "--streaming", "--streaming-topology", "partitioned"]
+        )
+    assert exc.value.code == 2
+    assert "invalid choice: 'partitioned'" in capsys.readouterr().err

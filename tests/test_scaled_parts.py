@@ -34,6 +34,21 @@ def test_linear_scaling_with_cluster_cpus():
         assert cfg.scaled_parts(64) == 96  # 64 * 48 // 32
 
 
+def test_pool_minimum_leaves_a_cpu_for_its_feeders():
+    # a pool minimum that holds every cpu starves the read tasks that feed
+    # it: on 2 cpus a (2, 4) pool keeps one actor warm
+    with mock.patch.object(cfg, "cluster_cpus", return_value=2):
+        assert cfg.scaled_pool(2, 4) == (1, 4)
+        assert cfg.scaled_pool(1, 4) == (1, 4)
+    with mock.patch.object(cfg, "cluster_cpus", return_value=1):
+        assert cfg.scaled_pool(2, 4) == (1, 4)
+    with mock.patch.object(cfg, "cluster_cpus", return_value=32):
+        assert cfg.scaled_pool(2, 4) == (2, 4)
+        assert cfg.scaled_pool(3, 2) == (3, 3)  # the max never drops below the min
+    with mock.patch.object(cfg, "cluster_cpus", return_value=4):
+        assert cfg.scaled_pool(2, 4) == (2, 4)
+
+
 def test_uninitialised_ray_falls_back_to_reference_box():
     # driver-side planning without a Ray session sees the 32-cpu default
     with mock.patch("ray.is_initialized", return_value=False):

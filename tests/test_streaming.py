@@ -75,13 +75,11 @@ def test_salted_streaming_sticky_mode(ray_session, tmp_path):
 
 
 def test_partitioned_streaming_matches_golden(ray_session, tmp_path):
-    """Multi-consumer partitioned-log ingestion: per-partition watermarks
-    merged by the tracker, golden-equal output, per-partition metrics."""
+    """Multi-consumer partitioned-log ingestion (the salted engine at its
+    default salting): per-partition watermarks merged by the tracker,
+    golden-equal output, per-partition metrics."""
     import os
 
-    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
-        run_streaming_partitioned,
-    )
 
     d = tmp_path / "parts"
     d.mkdir()
@@ -96,7 +94,7 @@ def test_partitioned_streaming_matches_golden(ray_session, tmp_path):
         [pq.read_table(str(d / f)) for f in sorted(os.listdir(d))]
     )
     expected = golden.golden_pipeline(full, cfg).sort_by("doc_id")
-    res, metrics = run_streaming_partitioned(
+    res, metrics = run_streaming_salted_partitioned(
         str(d), cfg, n_actors=3, n_partitions=3, micro_batch_rows=64
     )
     assert res.n_late == 0
@@ -137,7 +135,7 @@ def test_state_evicted_after_watermark(ray_session, stream_path):
 
 
 def test_partitioned_sink_mode_golden_and_replay(ray_session, tmp_path):
-    """Partitioned-consumer streaming in sink-direct mode: rewritten rows
+    """Multi-consumer streaming in sink-direct mode: rewritten rows
     never ride the driver (output is None), the committed layout equals the
     golden pipeline, and a kill-and-replay resume is byte-identical to an
     uninterrupted run."""
@@ -145,9 +143,6 @@ def test_partitioned_sink_mode_golden_and_replay(ray_session, tmp_path):
 
     import ray.data
 
-    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
-        run_streaming_partitioned,
-    )
     from pdf_watermark_removal_otsu_inpaint_ray.sinks.exactly_once import (
         committed_partitions,
         read_output,
@@ -162,7 +157,7 @@ def test_partitioned_sink_mode_golden_and_replay(ray_session, tmp_path):
     cfg = DEFAULT_CONFIG.with_(window_kind="tumbling", window_size=32, allowed_lateness=16)
 
     clean = str(tmp_path / "clean")
-    res, metrics = run_streaming_partitioned(
+    res, metrics = run_streaming_salted_partitioned(
         str(d), cfg, n_actors=3, n_partitions=3, micro_batch_rows=64,
         out_dir=clean, num_partitions=6,
     )
@@ -184,15 +179,15 @@ def test_partitioned_sink_mode_golden_and_replay(ray_session, tmp_path):
 
     # crashed attempt: same result rows, sink dies before partition 1
     crash = str(tmp_path / "crash")
-    res_mem, _ = run_streaming_partitioned(str(d), cfg, n_actors=3, n_partitions=3, micro_batch_rows=64)
+    res_mem, _ = run_streaming_salted_partitioned(str(d), cfg, n_actors=3, n_partitions=3, micro_batch_rows=64)
     with pytest.raises(Exception):
         write_exactly_once(
             ray.data.from_arrow(res_mem.output), crash, num_partitions=6,
             fail_partitions=frozenset({1}),
         )
     assert 1 not in committed_partitions(crash)
-    # resume through the partitioned sink path: replay drops committed parts
-    run_streaming_partitioned(
+    # resume through the multi-consumer sink path: replay drops committed parts
+    run_streaming_salted_partitioned(
         str(d), cfg, n_actors=3, n_partitions=3, micro_batch_rows=64,
         out_dir=crash, num_partitions=6,
     )
@@ -351,9 +346,6 @@ def test_salted_session_late_rows_counted(ray_session, tmp_path):
 def test_partitioned_metrics_include_wm_lag(ray_session, tmp_path):
     """Per-partition metrics carry the north star's watermark-lag numbers
     (partition event-time frontier minus global watermark at observation)."""
-    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
-        run_streaming_partitioned,
-    )
 
     d = tmp_path / "parts"
     d.mkdir()
@@ -365,7 +357,7 @@ def test_partitioned_metrics_include_wm_lag(ray_session, tmp_path):
     # small micro-batches so the in-flight window forces ack-gated tracker
     # updates mid-stream (a live global watermark becomes observable)
     cfg = DEFAULT_CONFIG.with_(window_kind="tumbling", window_size=32, allowed_lateness=16)
-    _res, metrics = run_streaming_partitioned(
+    _res, metrics = run_streaming_salted_partitioned(
         str(d), cfg, n_actors=2, n_partitions=2, micro_batch_rows=16
     )
     assert all("wm_lag_max" in m and "wm_lag_avg" in m for m in metrics)
@@ -433,16 +425,13 @@ def test_salted_sticky_gap_window_not_retroactive(ray_session, tmp_path):
 
 def test_run_metrics_persist_with_manifests(ray_session, tmp_path):
     """North-star metrics contract: a sink-mode run writes its per-actor
-    state stats (and, partitioned, per-partition throughput + watermark
+    state stats (and, multi-consumer, per-partition throughput + watermark
     lag) beside the lineage manifests."""
     import json
     import os
 
     from pdf_watermark_removal_otsu_inpaint_ray import synth
     from pdf_watermark_removal_otsu_inpaint_ray.config import DEFAULT_CONFIG
-    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
-        run_streaming_partitioned,
-    )
 
     import pyarrow.parquet as pq_
 
@@ -453,7 +442,7 @@ def test_run_metrics_persist_with_manifests(ray_session, tmp_path):
         pq_.write_table(t, f"{stream}/{name}.parquet")
     cfg = DEFAULT_CONFIG.with_(window_kind="tumbling", window_size=64, allowed_lateness=16)
     out = str(tmp_path / "out")
-    _res, metrics = run_streaming_partitioned(
+    _res, metrics = run_streaming_salted_partitioned(
         stream, cfg, n_actors=2, n_partitions=2, micro_batch_rows=256,
         out_dir=out, num_partitions=4,
     )
@@ -464,45 +453,3 @@ def test_run_metrics_persist_with_manifests(ray_session, tmp_path):
     for cm in m["consumer_metrics"]:
         assert "rows_per_sec" in cm and "wm_lag_max" in cm
     assert m["n_late"] == sum(s["n_late"] for s in m["actor_stats"])
-
-
-def test_partitioned_explicit_source_map(ray_session, tmp_path):
-    """Explicit source→actor routing (the small-universe balance table):
-    output is byte-equal to the default hash routing — all of a source's
-    rows still land on one actor — and an incomplete map fails loudly."""
-    import os
-
-    import pytest
-
-    from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
-        run_streaming_partitioned,
-    )
-
-    d = tmp_path / "parts_map"
-    d.mkdir()
-    import pyarrow.parquet as pq_
-
-    for s in range(0, 400, 100):
-        t = synth.generate_stream(100, start_row=s, n_sources=4,
-                                  n_tok_lo=48, n_tok_hi=128, disorder=8)
-        pq_.write_table(t, str(d / f"chunk-{s:06d}.parquet"))
-    cfg = DEFAULT_CONFIG.with_(window_kind="tumbling", window_size=32,
-                               allowed_lateness=16)
-    res_hash, _ = run_streaming_partitioned(
-        str(d), cfg, n_actors=3, n_partitions=2, micro_batch_rows=64
-    )
-    smap = {f"src{i:02d}": (3 - i) % 3 for i in range(4)}  # any total map
-    res_map, _ = run_streaming_partitioned(
-        str(d), cfg, n_actors=3, n_partitions=2, micro_batch_rows=64,
-        source_map=smap,
-    )
-    a = res_hash.output.sort_by("doc_id")
-    b = res_map.output.sort_by("doc_id")
-    assert a["doc_id"].to_pylist() == b["doc_id"].to_pylist()
-    assert a["tokens"].to_pylist() == b["tokens"].to_pylist()
-
-    with pytest.raises(Exception, match="source_map does not cover"):
-        run_streaming_partitioned(
-            str(d), cfg, n_actors=2, n_partitions=2, micro_batch_rows=64,
-            source_map={"src00": 0},  # missing the other sources
-        )

@@ -42,8 +42,8 @@ CASES = [
     (5, "session", 4, 5, dict(session_gap=3)),
     (6, "session", 1, 9, dict(session_gap=11)),
     # sticky detection (first window wins per source) must also conform in
-    # every variant — partitioned consumers share the actor-local sticky
-    # state, salted mode keeps it in the aggregator
+    # every variant — the single-consumer engine keeps it actor-local,
+    # salted mode keeps it in the aggregator
     (7, "tumbling", 4, 6, dict(window_size=24, detection_mode="sticky")),
     (8, "session", 3, 4, dict(session_gap=5, detection_mode="sticky")),
     (9, "global", 3, 6, dict()),
@@ -55,7 +55,7 @@ CASES = [
 def test_streaming_variants_conform_to_golden(ray_session, tmp_path, seed, kind, n_sources, disorder, kw):
     from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
         run_streaming,
-        run_streaming_partitioned,
+        run_streaming_salted_partitioned,
     )
 
     rng = np.random.default_rng(seed)
@@ -78,23 +78,24 @@ def test_streaming_variants_conform_to_golden(ray_session, tmp_path, seed, kind,
     check(_salted(p, cfg, n_partitions=2 + seed % 2, n_actors=3, salt_buckets=2,
                   micro_batch_rows=int(rng.integers(40, 150))),
           "salted")
-    # partitioned-log consumers handle every window kind: all rows of a
-    # source meet the same state actor regardless of which consumer read
-    # them, and the min-across-partitions watermark gates finalization
-    res, _m = run_streaming_partitioned(
-        p, cfg, n_actors=3, n_partitions=1, micro_batch_rows=int(rng.integers(40, 150))
+    # one salt bucket: every row of a source meets the same state actor,
+    # and the aggregator still decides every window kind
+    res, _m = run_streaming_salted_partitioned(
+        p, cfg, n_actors=3, salt_buckets=1, n_partitions=1,
+        micro_batch_rows=int(rng.integers(40, 150)),
     )
-    check(res, "partitioned")
+    check(res, "salted, one bucket")
 
 
 def test_partitioned_session_windows_multi_consumer(ray_session, tmp_path):
-    """Session windows under PARALLEL partitioned-log consumers: per-source
-    state converges on one actor, the min-watermark gates gap-merge closure
-    across consumer skew — golden-equal."""
+    """Session windows under PARALLEL partitioned-log consumers: the
+    aggregator gap-merges each source's fragments across actors, the
+    min-watermark gates session closure across consumer skew —
+    golden-equal."""
     import os
 
     from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
-        run_streaming_partitioned,
+        run_streaming_salted_partitioned,
     )
 
     d = tmp_path / "parts"
@@ -107,7 +108,7 @@ def test_partitioned_session_windows_multi_consumer(ray_session, tmp_path):
     cfg = DEFAULT_CONFIG.with_(window_kind="session", session_gap=4, allowed_lateness=10)
     full = pa.concat_tables([pq.read_table(str(d / f)) for f in sorted(os.listdir(d))])
     expected = golden.golden_pipeline(full, cfg).sort_by("doc_id")
-    res, metrics = run_streaming_partitioned(
+    res, metrics = run_streaming_salted_partitioned(
         str(d), cfg, n_actors=3, n_partitions=3, micro_batch_rows=48
     )
     assert res.n_late == 0
@@ -222,7 +223,7 @@ def test_global_window_streaming_matches_golden(ray_session, tmp_path):
     one all-stream window per source, finalized at end-of-stream flush."""
     from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
         run_streaming,
-        run_streaming_partitioned,
+        run_streaming_salted_partitioned,
     )
 
     p = str(tmp_path / "s.parquet")
@@ -234,8 +235,8 @@ def test_global_window_streaming_matches_golden(ray_session, tmp_path):
     got = res.output.sort_by("doc_id")
     assert got["tokens"].to_pylist() == expected["tokens"].to_pylist()
     assert got["wm_token"].to_pylist() == expected["wm_token"].to_pylist()
-    res2, _m = run_streaming_partitioned(p, cfg, n_actors=2, n_partitions=1,
-                                         micro_batch_rows=64)
+    res2, _m = run_streaming_salted_partitioned(p, cfg, n_actors=2, n_partitions=1,
+                                                micro_batch_rows=64)
     got2 = res2.output.sort_by("doc_id")
     assert got2["tokens"].to_pylist() == expected["tokens"].to_pylist()
 

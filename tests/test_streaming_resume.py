@@ -238,7 +238,7 @@ def test_resume_adopts_pinned_partition_count(ray_session, tmp_path):
     import ray.data
 
     from pdf_watermark_removal_otsu_inpaint_ray.pipelines.streaming import (
-        run_streaming_partitioned,
+        run_streaming_salted_partitioned,
     )
 
     def layout(d):
@@ -263,7 +263,7 @@ def test_resume_adopts_pinned_partition_count(ray_session, tmp_path):
     assert layout(ckpt) == 7 and committed_partitions(ckpt) <= set(range(7))
     assert _collect(ckpt).equals(_collect(clean))
 
-    # a partitioned run whose earlier attempt committed part of the layout
+    # a multi-consumer run whose earlier attempt committed part of the layout
     part = str(tmp_path / "part")
     res = run_streaming(stream, cfg, **kw)
     with pytest.raises(Exception):
@@ -271,7 +271,7 @@ def test_resume_adopts_pinned_partition_count(ray_session, tmp_path):
             ray.data.from_arrow(res.output), part, num_partitions=7,
             fail_partitions=frozenset({3}),
         )
-    run_streaming_partitioned(stream, cfg, n_actors=2, n_partitions=1, out_dir=part)
+    run_streaming_salted_partitioned(stream, cfg, n_actors=2, n_partitions=1, out_dir=part)
     assert layout(part) == 7 and committed_partitions(part) == set(range(7))
     assert _collect(part).equals(_collect(clean))
 
