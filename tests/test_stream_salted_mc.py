@@ -224,3 +224,24 @@ def test_salted_mc_query_caches_stream_under_shared_tmp(tmp_path, monkeypatch):
     (d,) = seen
     assert os.path.dirname(d) == str(tmp_path)
     assert any(f.endswith(".parquet") for f in os.listdir(d))
+
+
+def test_salted_mc_output_independent_of_salting(ray_session, tmp_path):
+    """Routing never changes output: every source on one actor
+    (``salt_buckets=1``) and the default salting spread over 3 actors
+    emit the same rows, tokens and late count."""
+    d = tmp_path / "mc_salting"
+    _chunked_stream(d, 400, n_sources=4)
+    cfg = DEFAULT_CONFIG.with_(
+        window_kind="tumbling", window_size=32, allowed_lateness=16
+    )
+    runs = [
+        run_streaming_salted_partitioned(
+            str(d), cfg, n_actors=3, n_partitions=2, micro_batch_rows=64,
+            **kw,
+        )[0]
+        for kw in (dict(salt_buckets=1), {})
+    ]
+    one, spread = (r.output.sort_by("doc_id") for r in runs)
+    assert runs[0].n_late == runs[1].n_late == 0
+    assert one.num_rows == 400 and one.equals(spread)

@@ -149,3 +149,15 @@ def test_restore_rejects_a_checkpoint_from_another_build():
     fresh = _actor(STICKY)
     fresh.restore_state(actor.checkpoint_state())  # its own build's blob restores
     assert fresh.sticky == {} and fresh.horizon == actor.horizon
+
+
+def test_restore_rejects_a_checkpoint_carrying_the_outbox():
+    """The keyed actor no longer keeps an outbox: a blob written by a build
+    that checkpointed ``_outbox`` must fail loudly, naming it as extra, not
+    restore a field nothing drains."""
+    state = pickle.loads(_actor(TUMBLING).checkpoint_state())
+    state["_outbox"] = []
+    with pytest.raises(ValueError) as err:
+        _actor(TUMBLING).restore_state(pickle.dumps(state))
+    assert "missing fields []" in str(err.value)
+    assert "extra fields ['_outbox']" in str(err.value)
