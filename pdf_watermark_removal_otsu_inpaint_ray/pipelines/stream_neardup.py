@@ -40,7 +40,7 @@ from ..state.neardup_state import (
     doc_signature_bands,
 )
 from ..state.watermark_tracker import WatermarkTracker
-from .streaming import StreamingResult, _arrival_batches, _finalize_sink, _resume_or_fresh
+from .streaming import StreamingResult, _arrival_batches, _gather, _resume_or_fresh
 
 
 def _resolve_intra_epoch(
@@ -135,7 +135,6 @@ def run_streaming_neardup(
     wm = np.int64(-(1 << 62))
     decided_upto = int(wm)
     batch_idx = 0
-    n_late = 0
     if ck_blobs is not None:
         # last blob is the driver snapshot; the rest restore the workers
         drv = pickle.loads(ck_blobs[-1])
@@ -148,7 +147,7 @@ def run_streaming_neardup(
         )
 
     def run_epoch(cur_wm: int) -> None:
-        nonlocal meta, decided_upto, n_late
+        nonlocal meta, decided_upto
         if not meta:
             decided_upto = max(decided_upto, cur_wm)
             return
@@ -246,12 +245,7 @@ def run_streaming_neardup(
         ids_b = np.asarray(batch["doc_id"], np.int64)
         sig, keys, has = doc_signature_bands(batch)
         late = ts_b <= decided_upto
-        if late.any():
-            lf = np.nonzero(late)[0]
-            n_late += lf.size
-            late_ids = ids_b[lf]
-        else:
-            late_ids = np.zeros(0, np.int64)
+        late_ids = ids_b[late]
         # payload custody (late rows included — the owner side-routes them)
         route = _splitmix_route(ids_b, n_actors)
         holds = []
@@ -315,26 +309,10 @@ def run_streaming_neardup(
             raise RuntimeError(f"injected stop after {consumed} batches")
 
     run_epoch(1 << 62)
-    stats = ray.get([w.state_stats.remote() for w in workers])
-    late_tables = [
-        t for t in ray.get([w.late_rows.remote() for w in workers]) if t is not None
-    ]
-    late = pa.concat_tables(late_tables) if late_tables else None
-
+    res = _gather(
+        workers, out_dir, resume.meta["epoch"],
+        lambda t: pa.concat_tables(t).sort_by("doc_id") if t else None,
+    )
     if out_dir is not None:
-        res = _finalize_sink(workers, stats, late, out_dir, resume.meta["epoch"])
         clear_checkpoints(out_dir)
-        return res
-
-    out_tables: list[pa.Table] = []
-    for flushed in ray.get([w.flush.remote() for w in workers]):
-        out_tables.extend(flushed)
-    out = (
-        pa.concat_tables(out_tables).sort_by("doc_id") if out_tables else None
-    )
-    return StreamingResult(
-        output=out,
-        late=late,
-        n_late=sum(s["n_late"] for s in stats),
-        actor_stats=stats,
-    )
+    return res

@@ -48,8 +48,9 @@ def run_streaming_pack(
     example stream is tokens/L rows — NOT driver-sized — so each actor
     stages completed examples straight into the exactly-once layout
     (stamped with a (source, example) partition key) and the driver
-    commits manifests only; checkpoints then snapshot the staged-file
-    manifest (truncated to on resume) instead of the driver-buffer blob.
+    commits manifests only; checkpoints then also snapshot the staged-file
+    manifest (truncated to on resume), while in driver-collect mode the
+    actors hold their examples and checkpoint them with their state.
     Both modes run on the streaming runtime (``streaming._drive``)."""
     if ckpt_dir is not None and out_dir is not None:
         raise ValueError("pass ckpt_dir only in driver-collected mode")

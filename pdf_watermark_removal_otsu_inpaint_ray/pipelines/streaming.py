@@ -297,25 +297,24 @@ def _finalize_sink(
 
 
 def _gather(
-    actors, emitted: list, out_dir: str | None, epoch: int, shape, *,
-    late: bool = True, consumer_metrics=None,
+    actors, out_dir: str | None, epoch: int, shape, *, consumer_metrics=None
 ) -> StreamingResult:
     """The end-of-stream gathers every engine shares once its actors hold
-    their last output: ``late_rows`` (consumers with a late path),
-    ``state_stats``, then the sink commit (sink mode: ``emitted`` stayed
-    empty, the driver moves manifests only) or ``shape(emitted)`` as the
-    driver-collected output."""
-    late_t = None
-    if late:
-        tables = [t for t in ray.get([a.late_rows.remote() for a in actors]) if t is not None]
-        late_t = pa.concat_tables(tables) if tables else None
+    their last output, and the one place the driver reads output:
+    ``take_held`` (the actors' held output and late rows, empty in sink
+    mode), ``state_stats``, then the sink commit (the driver moves
+    manifests only) or ``shape(held output)`` as the driver-collected
+    output."""
+    held = ray.get([a.take_held.remote() for a in actors])
+    late = [t for _, tables in held for t in tables]
+    late_t = pa.concat_tables(late) if late else None
     stats = ray.get([a.state_stats.remote() for a in actors])
     if out_dir is not None:
         return _finalize_sink(actors, stats, late_t, out_dir, epoch, consumer_metrics)
     return StreamingResult(
-        output=shape(emitted),
+        output=shape([t for tables, _ in held for t in tables]),
         late=late_t,
-        n_late=sum(s["n_late"] for s in stats) if late else 0,
+        n_late=sum(s["n_late"] for s in stats),
         actor_stats=stats,
     )
 
@@ -457,15 +456,6 @@ def _key_route(col: str, n_actors: int):
     )
 
 
-def _emitted(result) -> list:
-    """The tables an ``ingest`` or end-of-stream call returned: the result
-    when it is a list, its first item when it is a tuple; a counter carries
-    none."""
-    if isinstance(result, tuple):
-        result = result[0]
-    return result if isinstance(result, list) else []
-
-
 def _interleaved(logs: list, micro_batch_rows: int, on_end):
     """``(log index, batch)`` in arrival order; several logs are read
     round-robin one micro-batch at a time, a deterministic interleaving
@@ -517,29 +507,22 @@ def _drive(
       two logs, the watermark with a tracker;
     - the tracker learns the batch's largest ``ts_col``;
     - once ``n_actors*4`` ingests are in flight the oldest ``n_actors*2``
-      are awaited, so emitted tables do not pile up as refs;
+      are awaited, so the actors' mailboxes stay bounded;
     - every ``checkpoint_every`` batches all in-flight ingests are awaited
-      and the actors' state, the driver watermark and (sink mode) the
-      staged-file manifest, or (driver-collect mode) the output emitted so
-      far as an extra blob, are published as one checkpoint;
+      and the actors' state (their held output included, in
+      driver-collect mode), the driver watermark and (sink mode) the
+      staged-file manifest are published as one checkpoint;
     - ``stop_after`` is the test-only crash hook.
 
     At end of stream: the remaining ingests, one ``end`` call per actor
-    (``flush``, ``drain``, … or None), ``late_rows`` (consumers with a
-    tracker; without one there is no late path), ``state_stats``, then
-    the sink commit (``_finalize_sink``) or ``shape(emitted tables)`` as
-    the output; checkpoints are cleared once the call has succeeded."""
-    import pickle
-
+    (``flush``, ``drain``, … or None), then ``_gather``; checkpoints are
+    cleared once the call has succeeded."""
     from .checkpoint import clear_checkpoints, staged_file_manifest, write_checkpoint
 
     n_actors = len(actors)
     two_logs = len(logs) > 1
-    emitted: list = []
     if resume.blobs is not None:
         ray.get([a.restore_state.remote(b) for a, b in zip(actors, resume.blobs)])
-        if len(resume.blobs) > n_actors:
-            emitted.extend(pickle.loads(resume.blobs[n_actors]))
 
     def on_end(side: int) -> None:
         # a log that ended stops holding the other's watermark back
@@ -573,39 +556,28 @@ def _drive(
             tracker.update.remote(side, int(ts.max()))
         consumed += 1
         if len(pending) >= n_actors * 4:
-            done, pending = pending[: n_actors * 2], pending[n_actors * 2 :]
-            for r in ray.get(done):
-                emitted.extend(_emitted(r))
+            ray.get(pending[: n_actors * 2])
+            pending = pending[n_actors * 2 :]
         if (
             checkpoint_every is not None
             and consumed > resume.skip
             and consumed % checkpoint_every == 0
         ):
             # barrier: every sent ingest is absorbed before the snapshot
-            for r in ray.get(pending):
-                emitted.extend(_emitted(r))
+            ray.get(pending)
             pending = []
             blobs = ray.get([a.checkpoint_state.remote() for a in actors])
             meta = {**resume.meta, "wm": wm, "staged_files": {}}
             if resume.out_dir is not None:
                 meta["staged_files"] = staged_file_manifest(resume.out_dir)
-            else:
-                # the output emitted so far would otherwise die with the driver
-                blobs.append(pickle.dumps(emitted))
-                meta["n_blobs"] = n_actors + 1
             write_checkpoint(resume.root, consumed, blobs, meta)
         if stop_after is not None and consumed >= stop_after:
             raise RuntimeError(f"injected stop after {consumed} batches")
 
-    for r in ray.get(pending):
-        emitted.extend(_emitted(r))
+    ray.get(pending)
     if end is not None:
-        for r in ray.get([getattr(a, end).remote() for a in actors]):
-            emitted.extend(_emitted(r))
-    res = _gather(
-        actors, emitted, resume.out_dir, resume.meta.get("epoch", 0), shape,
-        late=tracker is not None,
-    )
+        ray.get([getattr(a, end).remote() for a in actors])
+    res = _gather(actors, resume.out_dir, resume.meta.get("epoch", 0), shape)
     if resume.root is not None:
         # checkpoints exist only to shorten crash recovery: once the run
         # succeeded, a LATER fresh run over this dir must not "resume"
@@ -804,8 +776,8 @@ class _SaltedAggregator(_WindowDecisions, Resettable):
     ``add`` (Ray resolves the actors' ``ingest_partial`` ObjectRefs before
     invoking it, so the rows are provably buffered before their deltas
     merge).  Single-actor serialization of ``add`` makes the horizon guard
-    race-free.  The outbox holds the emitted output in driver-collect
-    mode.
+    race-free.  The state actors hold or stage what they emit; no output
+    passes through this actor.
 
     Consumers send ``maybe_finalize`` without waiting for it, so a failed
     finalize is recorded (the first one) and re-raised by ``final_flush``:
@@ -815,7 +787,6 @@ class _SaltedAggregator(_WindowDecisions, Resettable):
     def __init__(self, cfg: EngineConfig, actors: list):
         self._init_decisions(cfg)
         self.actors = actors
-        self.outbox: list[pa.Table] = []
         self.error: tuple[int, BaseException] | None = None
 
     def add(self, *delta_results) -> None:
@@ -833,14 +804,12 @@ class _SaltedAggregator(_WindowDecisions, Resettable):
         if not items:
             return
         # aggregator → state-actor fan-out (no call cycle: state actors
-        # never call back); sink mode diverts, so the returned lists are
-        # empty there and the outbox only grows in driver-collect mode
+        # never call back)
         session = self.cfg.window_kind == "session"
-        for tables in ray.get([
+        ray.get([
             (a.finalize_sessions_salted if session else a.finalize_windows).remote(items)
             for a in self.actors
-        ]):
-            self.outbox.extend(tables)
+        ])
 
     def final_flush(self) -> None:
         """End of stream: finalize everything still held, including the
@@ -854,11 +823,6 @@ class _SaltedAggregator(_WindowDecisions, Resettable):
             raise RuntimeError(f"salted aggregator: finalize at watermark {wm} failed") from e
         leftovers = ray.get([a.buffered_keys.remote() for a in self.actors])
         self._fan_out(self._due(1 << 62, {k for ks in leftovers for k in map(tuple, ks)}))
-
-    def take_outbox(self) -> list[pa.Table]:
-        out = self.outbox
-        self.outbox = []
-        return out
 
 
 def run_streaming_salted_partitioned(
@@ -921,20 +885,10 @@ def run_streaming_salted_partitioned(
             )
             for i, g in enumerate(groups)
         ]
-        emitted: list[pa.Table] = []
-        if out_dir is None:
-            # drain the aggregator outbox WHILE consumers run — in
-            # driver-collect mode the whole rewritten output passes through it
-            pending = list(consumer_refs)
-            while pending:
-                _done, pending = ray.wait(pending, timeout=0.25)
-                emitted.extend(ray.get(aggregator.take_outbox.remote()))
         metrics = ray.get(consumer_refs)
         ray.get(aggregator.final_flush.remote())
-        emitted.extend(ray.get(aggregator.take_outbox.remote()))
         res = _gather(
-            actors, emitted, out_dir, sink["sink_epoch"], _inpaint_output,
-            consumer_metrics=metrics,
+            actors, out_dir, sink["sink_epoch"], _inpaint_output, consumer_metrics=metrics
         )
     return res, metrics
 

@@ -64,17 +64,16 @@ class AttributionStateActor(_SweepGateBase):
         self._c_seq = np.zeros(0, np.int64)
         self.n_rows = 0
 
-    def ingest(self, batch: pa.Table, watermark: int) -> list[pa.Table]:
+    def ingest(self, batch: pa.Table, watermark: int) -> None:
         """Absorb a micro-batch, attribute every conversion the watermark
-        finalized.  Returns the emitted attribution tables (empty in sink
-        mode — they stage directly)."""
+        finalized."""
         self._gate(batch, watermark)
-        return self._sweep(self.wm)
+        self._sweep(self.wm)
 
-    def _sweep(self, wm: int) -> list[pa.Table]:
+    def _sweep(self, wm: int) -> None:
         ready = self._ready(wm)
         if ready is None:
-            return []
+            return
         self.n_rows += int(ready.num_rows)
 
         keys = np.asarray(ready[self.group_col], np.int64)
@@ -138,11 +137,11 @@ class AttributionStateActor(_SweepGateBase):
             kk = kidx[run_start[has_touch]]
             self._c_ts[kk] = rts[last_touch[has_touch]]
             self._c_seq[kk] = seq[last_touch[has_touch]]
-        return self._divert(out)
+        self._divert(out)
 
-    def flush(self) -> list[pa.Table]:
+    def flush(self) -> None:
         """End of stream: attribute everything still pending."""
-        return self._sweep(_EOS)
+        self._sweep(_EOS)
 
     _CKPT_FIELDS = ("_kid", "_c_ts", "_c_seq", "_pending", "finalized_upto",
                     "n_rows")

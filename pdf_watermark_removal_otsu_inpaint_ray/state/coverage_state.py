@@ -94,7 +94,7 @@ class CoverageStateActor(_StagedEmitterBase):
         self._delta_rows = 0
         self.n_rows = 0
 
-    def ingest(self, batch: pa.Table) -> int:
+    def ingest(self, batch: pa.Table) -> None:
         k = np.asarray(batch[self.key_col], np.int64)
         t = np.asarray(batch[self.ts_col], np.int64)
         self.n_rows += k.size
@@ -103,7 +103,6 @@ class CoverageStateActor(_StagedEmitterBase):
             self._delta_rows += self._delta[-1][0].size
         if self._delta_rows >= self.compact_rows:
             self._compact()
-        return self._k.size + self._delta_rows
 
     def _compact(self) -> None:
         if not self._delta:
@@ -116,12 +115,12 @@ class CoverageStateActor(_StagedEmitterBase):
             np.concatenate(ks), np.concatenate(ss), np.concatenate(es)
         )
 
-    def flush(self) -> list[pa.Table]:
+    def flush(self) -> None:
         """End of stream: compact, emit (key, covered_us, n_islands) —
         one row per live key."""
         self._compact()
         if self._k.size == 0:
-            return []
+            return
         first = np.empty(self._k.size, bool)
         first[0] = True
         first[1:] = self._k[1:] != self._k[:-1]
@@ -130,7 +129,7 @@ class CoverageStateActor(_StagedEmitterBase):
         covered = np.zeros(n_keys, np.int64)
         np.add.at(covered, kidx, self._e - self._s)
         counts = np.bincount(kidx, minlength=n_keys).astype(np.int64)
-        return [
+        self._divert([
             pa.table(
                 {
                     self.key_col: pa.array(self._k[first], pa.int64()),
@@ -138,7 +137,7 @@ class CoverageStateActor(_StagedEmitterBase):
                     "n_islands": pa.array(counts, pa.int64()),
                 }
             )
-        ]
+        ])
 
     _CKPT_FIELDS = ("_k", "_s", "_e", "_delta", "_delta_rows", "n_rows")
 

@@ -95,19 +95,18 @@ class DedupStateActor(_SweepGateBase):
 
     # -- ingest / sweep -----------------------------------------------------
 
-    def ingest(self, batch: pa.Table, watermark: int) -> tuple[list[pa.Table], int, int]:
-        """Absorb a micro-batch, sweep every row the watermark passed.
-        Returns (kept tables — empty in sink mode, n_dup, n_late)."""
+    def ingest(self, batch: pa.Table, watermark: int) -> None:
+        """Absorb a micro-batch, sweep every row the watermark passed."""
         self._gate(batch, watermark)
-        kept = self._sweep(self.wm)
-        return self._divert(kept), self.n_dup, self.n_late
+        self._sweep(self.wm)
 
-    def _sweep(self, wm: int) -> list[pa.Table]:
+    def _sweep(self, wm: int) -> None:
         """Finalize pending rows with ts <= wm in (ts, seq) event order,
-        chain them through the identity state, evict expired state."""
+        chain them through the identity state, evict expired state; emit
+        the kept rows."""
         ready = self._ready(wm)
         if ready is None:
-            return []
+            return
 
         ids = np.asarray(ready[self.id_col], np.int64)
         rts = np.asarray(ready[self.ts_col], np.int64)
@@ -191,11 +190,11 @@ class DedupStateActor(_SweepGateBase):
         self.n_kept += int(keep.sum())
         self.n_dup += int(n - keep.sum())
         out = ready.filter(pa.array(keep))
-        return [out] if out.num_rows else []
+        self._divert([out] if out.num_rows else [])
 
-    def flush(self) -> list[pa.Table]:
+    def flush(self) -> None:
         """End of stream: sweep everything still pending."""
-        return self._divert(self._sweep(_EOS))
+        self._sweep(_EOS)
 
     _CKPT_FIELDS = ("_sid", "_sts", "_pending", "finalized_upto",
                     "n_kept", "n_dup")

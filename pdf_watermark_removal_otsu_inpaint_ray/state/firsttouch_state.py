@@ -64,15 +64,15 @@ class FirstTouchStateActor(_SweepGateBase):
         self.n_rows = 0
         self.evicted = 0
 
-    def ingest(self, batch: pa.Table, watermark: int) -> list[pa.Table]:
+    def ingest(self, batch: pa.Table, watermark: int) -> None:
         self._gate(batch, watermark)
-        return self._sweep(self.wm)
+        self._sweep(self.wm)
 
-    def _sweep(self, wm: int) -> list[pa.Table]:
+    def _sweep(self, wm: int) -> None:
         ready = self._ready(wm)
         if ready is None:
             self._evict(wm)
-            return []
+            return
         self.n_rows += int(ready.num_rows)
 
         keys = np.asarray(ready[self.group_col], np.int64)
@@ -145,7 +145,7 @@ class FirstTouchStateActor(_SweepGateBase):
             )
 
         self._evict(wm)
-        return self._divert(out)
+        self._divert(out)
 
     def _no_touch_table(self, ck, cseq, cts) -> pa.Table:
         t = pa.table(
@@ -174,8 +174,8 @@ class FirstTouchStateActor(_SweepGateBase):
             self._t_ts = self._t_ts[keep]
             self._t_seq = self._t_seq[keep]
 
-    def flush(self) -> list[pa.Table]:
-        return self._sweep(_EOS)
+    def flush(self) -> None:
+        self._sweep(_EOS)
 
     _CKPT_FIELDS = ("_t_key", "_t_ts", "_t_seq", "_pending",
                     "finalized_upto", "n_rows", "evicted")

@@ -66,12 +66,11 @@ class FunnelStateActor(_SweepGateBase):
 
     # -- ingest / sweep -----------------------------------------------------
 
-    def ingest(self, batch: pa.Table, watermark: int) -> tuple[int, int]:
+    def ingest(self, batch: pa.Table, watermark: int) -> None:
         """Absorb a micro-batch, advance the chain over every row the
-        watermark passed.  Returns (rows finalized so far, n_late)."""
+        watermark passed."""
         self._gate(batch, watermark)
         self._sweep(self.wm)
-        return self.n_rows, self.n_late
 
     def _sweep(self, wm: int) -> None:
         ready = self._ready(wm)
@@ -109,12 +108,12 @@ class FunnelStateActor(_SweepGateBase):
 
         self.n_rows += int(ready.num_rows)
 
-    def flush(self) -> list[pa.Table]:
+    def flush(self) -> None:
         """End of stream: sweep everything pending, emit one funnel row per
-        distinct key (diverted to the staged sink layout in sink mode)."""
+        distinct key."""
         self._sweep(_EOS)
         if self._kid.size == 0:
-            return []
+            return
         reached = self._kth != _I64_MAX
         cols: dict[str, pa.Array] = {
             self.group_col: pa.array(self._kid, pa.int64())
@@ -127,9 +126,7 @@ class FunnelStateActor(_SweepGateBase):
         cols["stage"] = pa.array(reached.sum(axis=1).astype(np.int64), pa.int64())
         out = pa.table(cols)
         # staged layout partitions on doc_id: the key is unique per emit row
-        return self._divert(
-            [out.append_column("doc_id", pa.array(self._kid, pa.int64()))]
-        )
+        self._divert([out.append_column("doc_id", pa.array(self._kid, pa.int64()))])
 
     _CKPT_FIELDS = ("_kid", "_kth", "_pending", "finalized_upto", "n_rows")
 

@@ -192,16 +192,17 @@ class JoinStateActor(_StagedEmitterBase):
                 matched = np.zeros(keys.size, bool)
             self._m1 = np.concatenate([self._m1, matched])[o]
 
-    def ingest(self, side: int, batch: pa.Table, watermark: int) -> tuple[list[pa.Table], int]:
+    def ingest(self, side: int, batch: pa.Table, watermark: int) -> None:
         """Absorb one micro-batch of ``side`` (0 = left, 1 = right):
-        late-route, evict, probe the opposite buffer, insert.  Returns
-        (emitted pair tables — empty in sink mode, n_late so far)."""
+        late-route, evict, probe the opposite buffer, insert; emit the
+        pairs and the evicted rows' null pairs."""
         self.wm = max(self.wm, watermark)
         ts = np.asarray(batch["ts"], np.int64)
         batch, ts = self._route_late(side, batch, ts)
         out: list[pa.Table] = self._evict()
         if batch.num_rows == 0:
-            return self._divert(out), self.n_late
+            self._divert(out)
+            return
         keys = np.asarray(batch["key"], np.int64)
         seqs = np.asarray(batch["seq"], np.int64)
         opp = 1 - side
@@ -237,13 +238,13 @@ class JoinStateActor(_StagedEmitterBase):
             if side == 0 and self.outer_right:
                 self._m1[b_idx] = True
         self._insert(side, keys, seqs, ts, matched_new)
-        return self._divert(out), self.n_late
+        self._divert(out)
 
-    def flush_outer(self) -> list[pa.Table]:
+    def flush_outer(self) -> None:
         """End of both logs: advance to +inf and evict, emitting the
         remaining unmatched left rows' null pairs (no-op in inner mode)."""
         self.wm = 1 << 62
-        return self._divert(self._evict())
+        self._divert(self._evict())
 
     _CKPT_FIELDS = ("_k", "_s", "_t", "_m0", "_m1", "n_pairs")
 
@@ -381,7 +382,7 @@ class TemporalJoinActor(_StagedEmitterBase):
         self.n_emitted += out.num_rows
         return out
 
-    def ingest(self, side: int, batch: pa.Table, watermark: int) -> tuple[list[pa.Table], int]:
+    def ingest(self, side: int, batch: pa.Table, watermark: int) -> None:
         """side 0 = dimension updates, side 1 = events."""
         self.wm = max(self.wm, watermark)
         ts = np.asarray(batch["ts"], np.int64)
@@ -397,13 +398,13 @@ class TemporalJoinActor(_StagedEmitterBase):
                 self._et = np.concatenate([self._et, ts])
         out = self._finalize(self.wm)
         self._evict_dim()
-        return self._divert([out] if out is not None else []), self.n_late
+        self._divert([out] if out is not None else [])
 
-    def drain(self) -> list[pa.Table]:
+    def drain(self) -> None:
         """End of both logs: finalize every pending event (the watermark
         contract is vacuous once the logs are closed)."""
         out = self._finalize(1 << 62)
-        return self._divert([out] if out is not None else [])
+        self._divert([out] if out is not None else [])
 
     _CKPT_FIELDS = ("_dk", "_ds", "_dt", "_ek", "_es", "_et", "n_emitted")
 

@@ -25,8 +25,10 @@ Either way the actor applies the decisions through ``finalize_windows`` or
 ``_FUSED_REWRITE_ROWS`` rows with a per-row token vector, not one call per
 (typically small) window.  Rows whose governing window already finalized
 are routed to the late-data side output (counted, never silently dropped).
-Sink staging, that side output and checkpoint/restore are the shared
-state-actor base's (:class:`.staging._StagedEmitterBase`).
+The rewritten rows leave the actor through the shared state-actor base
+(:class:`.staging._StagedEmitterBase`): staged in sink mode, else held
+until the driver's one end-of-stream ``take_held``; that base also owns
+the late side output and checkpoint/restore.
 """
 
 from __future__ import annotations
@@ -225,18 +227,18 @@ class KeyedStateActor(_WindowDecisions, _StagedEmitterBase, Resettable):
 
     # -- ingest -----------------------------------------------------------
 
-    def ingest(self, batch: pa.Table, watermark: int) -> tuple[list[pa.Table], int]:
+    def ingest(self, batch: pa.Table, watermark: int) -> None:
         """Absorb a micro-batch, then finalize every window (session) the
         watermark passed: the salted engine's protocol with this actor as
-        its own aggregator.  Returns (emitted output tables, late rows so
-        far)."""
+        its own aggregator."""
         self._merge([self.ingest_partial(batch, watermark)])
-        return self._finalize_due(self.wm), self.n_late
+        self._finalize_due(self.wm)
 
-    def _finalize_due(self, watermark: int) -> list[pa.Table]:
+    def _finalize_due(self, watermark: int) -> None:
         if self.cfg.window_kind == "session":
-            return self.finalize_sessions_salted(self._due(watermark))
-        return self.finalize_windows(self._due(watermark, self.buffers))
+            self.finalize_sessions_salted(self._due(watermark))
+        else:
+            self.finalize_windows(self._due(watermark, self.buffers))
 
     def _split_late(self, batch: pa.Table, watermark: int):
         """Route the rows whose governing window already finalized to the
@@ -465,9 +467,7 @@ class KeyedStateActor(_WindowDecisions, _StagedEmitterBase, Resettable):
         Hm = np.stack(hists) if hists else np.zeros((0, cfg.gray_mod), dtype=np.int64)
         return out_src, spans, Hm, self.n_late
 
-    def finalize_sessions_salted(
-        self, items: list[tuple[str, int, int, int]]
-    ) -> list[pa.Table]:
+    def finalize_sessions_salted(self, items: list[tuple[str, int, int, int]]) -> None:
         """Rewrite + emit + evict this actor's buffered rows of each closed
         session ``(source, lo, hi, wm_token)`` (rows with lo <= ts <= hi),
         and record each source's closed horizon ``hi + session_gap``.  A
@@ -498,9 +498,9 @@ class KeyedStateActor(_WindowDecisions, _StagedEmitterBase, Resettable):
                 del self._salted_rows[s]
             if m.any():
                 parts.append(([t.filter(pa.array(m))], tok[ses[m]]))
-        return self._divert(self._rewrite_parts(parts))
+        self._divert(self._rewrite_parts(parts))
 
-    def finalize_windows(self, wm_items: list[tuple[str, int, int]]) -> list[pa.Table]:
+    def finalize_windows(self, wm_items: list[tuple[str, int, int]]) -> None:
         """Rewrite + emit + evict the given (source, window, wm_token) keys
         (only those this actor buffered) in one fused rewrite
         (:meth:`_rewrite_parts`); every key is marked finalized, so a
@@ -512,14 +512,14 @@ class KeyedStateActor(_WindowDecisions, _StagedEmitterBase, Resettable):
             tables = self.buffers.pop(key, None)
             if tables:
                 parts.append((tables, wm_tok))
-        return self._divert(self._rewrite_parts(parts))
+        self._divert(self._rewrite_parts(parts))
 
     def buffered_keys(self) -> list[tuple[str, int]]:
         return sorted(self.buffers)
 
-    def flush(self) -> list[pa.Table]:
+    def flush(self) -> None:
         """End of stream: finalize every remaining window or session."""
-        return self._finalize_due(1 << 62)
+        self._finalize_due(1 << 62)
 
     def late_buffer_rows(self) -> int:
         """Rows currently held in the actor's late STAGE buffer (sink

@@ -170,7 +170,6 @@ class NearDupWorker(_StagedEmitterBase):
         self._init_staging(**sink)
         # DOC role
         self._pending: list[pa.Table] = []
-        self._out: list[pa.Table] = []
         self.n_kept = 0
         self.n_dup = 0
         # BAND role: packed band key -> (ids, ts, sig-matrix) column lists
@@ -198,15 +197,11 @@ class NearDupWorker(_StagedEmitterBase):
         if k.any():
             out = pend.filter(pa.array(k))
             self.n_kept += out.num_rows
-            for t in self._divert([out]):
-                self._out.append(t)
+            self._divert([out])
         self.n_dup += int(d.sum())
         rest = pend.filter(pa.array(~(k | d | l)))
         self._pending = [rest] if rest.num_rows else []
         return int(rest.num_rows)
-
-    def flush(self) -> list[pa.Table]:
-        return self._out
 
     # -- BAND role ----------------------------------------------------------
 
@@ -261,8 +256,7 @@ class NearDupWorker(_StagedEmitterBase):
                 self.n_band_entries += 1
         return self.n_band_entries
 
-    _CKPT_FIELDS = ("_pending", "_out", "n_kept", "n_dup", "_bands",
-                    "n_band_entries")
+    _CKPT_FIELDS = ("_pending", "n_kept", "n_dup", "_bands", "n_band_entries")
 
     def checkpoint_state(self) -> bytes:
         for ent in self._bands.values():

@@ -92,9 +92,9 @@ class PackStateActor(_StagedEmitterBase):
             self._carry.pop(src, None)
         return out
 
-    def ingest(self, batch: pa.Table) -> list[pa.Table]:
-        """Absorb a micro-batch (rows in arrival order).  Returns the
-        completed-example tables."""
+    def ingest(self, batch: pa.Table) -> None:
+        """Absorb a micro-batch (rows in arrival order); emit the completed
+        examples."""
         self.n_rows += batch.num_rows
         from ..stages.kernels import flatten_list_column
 
@@ -123,9 +123,9 @@ class PackStateActor(_StagedEmitterBase):
             t = self._pack_source(src, toks, dchg)
             if t is not None:
                 out.append(self._stamp_doc_id(t))
-        return self._divert(out)
+        self._divert(out)
 
-    def flush(self) -> list[pa.Table]:
+    def flush(self) -> None:
         """End of stream: emit each source's final PARTIAL example."""
         out: list[pa.Table] = []
         for src in sorted(self._carry):
@@ -147,7 +147,7 @@ class PackStateActor(_StagedEmitterBase):
                 )
             )
         self._carry.clear()
-        return self._divert([self._stamp_doc_id(t) for t in out])
+        self._divert([self._stamp_doc_id(t) for t in out])
 
     def _stamp_doc_id(self, t: pa.Table) -> pa.Table:
         """Staged-layout partition key: unique per (source, example) —

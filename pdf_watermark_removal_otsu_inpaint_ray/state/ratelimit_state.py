@@ -54,14 +54,12 @@ class RateLimitStateActor(_SweepGateBase):
         self._skey = np.zeros(0, np.int64)  # state: key column
         self._swin = np.zeros(0, np.int64)  # state: window column
         self._scnt = np.zeros(0, np.int64)  # admitted so far
-        self._out: list[pa.Table] = []
         self.n_kept = 0
         self.n_capped = 0
 
-    def ingest(self, batch: pa.Table, watermark: int) -> tuple[int, int]:
+    def ingest(self, batch: pa.Table, watermark: int) -> None:
         self._gate(batch, watermark)
         self._sweep(self.wm)
-        return self.n_kept, self.n_capped
 
     def _sweep(self, wm: int) -> None:
         ready = self._ready(wm)
@@ -120,7 +118,7 @@ class RateLimitStateActor(_SweepGateBase):
                     "doc_id": pa.array(seq_s[keep], pa.int64()),
                 }
             )
-            self._out.extend(self._divert([out]))
+            self._divert([out])
         self._evict(wm)
 
     def _evict(self, wm: int) -> None:
@@ -132,12 +130,11 @@ class RateLimitStateActor(_SweepGateBase):
             self._swin = self._swin[live]
             self._scnt = self._scnt[live]
 
-    def flush(self) -> list[pa.Table]:
+    def flush(self) -> None:
         self._sweep(_EOS)
-        return self._out
 
-    _CKPT_FIELDS = ("_skey", "_swin", "_scnt", "_pending", "_out",
-                    "finalized_upto", "n_kept", "n_capped")
+    _CKPT_FIELDS = ("_skey", "_swin", "_scnt", "_pending", "finalized_upto",
+                    "n_kept", "n_capped")
 
     def state_stats(self) -> dict:
         return {

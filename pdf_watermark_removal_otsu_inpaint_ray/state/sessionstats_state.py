@@ -58,9 +58,9 @@ class SessionStatsActor(_SweepGateBase):
         self._open = np.zeros(0, bool)
         self.n_rows = 0
 
-    def ingest(self, batch: pa.Table, watermark: int) -> list[pa.Table]:
+    def ingest(self, batch: pa.Table, watermark: int) -> None:
         self._gate(batch, watermark)
-        return self._sweep(self.wm)
+        self._sweep(self.wm)
 
     def _emit_tbl(self, kk, sid, st, en, cnt) -> pa.Table:
         t = pa.table(
@@ -81,7 +81,7 @@ class SessionStatsActor(_SweepGateBase):
             )
         return t
 
-    def _sweep(self, wm: int) -> list[pa.Table]:
+    def _sweep(self, wm: int) -> None:
         out: list[pa.Table] = []
         ready = self._ready(wm)
         if ready is not None:
@@ -169,20 +169,18 @@ class SessionStatsActor(_SweepGateBase):
                 )
             )
             self._open[stale] = False
-        return self._divert(out)
+        self._divert(out)
 
-    def flush(self) -> list[pa.Table]:
-        out = self._sweep(_EOS)
+    def flush(self) -> None:
+        self._sweep(_EOS)
         m = self._open
         if m.any():
-            out2 = self._emit_tbl(
+            out = self._emit_tbl(
                 self._kid[m], self._sid[m], self._start[m], self._end[m],
                 self._cnt[m],
             )
             self._open[:] = False
-            rest = self._divert([out2])
-            out.extend(rest)
-        return out
+            self._divert([out])
 
     _CKPT_FIELDS = ("_kid", "_sid", "_start", "_end", "_cnt", "_open",
                     "_pending", "finalized_upto", "n_rows")

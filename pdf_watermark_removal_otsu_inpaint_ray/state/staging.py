@@ -2,12 +2,16 @@
 side output and checkpoint/restore, written once — and, for the sweep
 actors, the event-time gate.
 
-Output rows divert to the exactly-once staged layout in sink mode (the
-driver only commits manifests); late rows route to the ``_late/`` side
-output under the same atomic protocol.  Actor memory for both is O(stage
-buffer), never O(stream).  A subclass calls ``_init_staging(**sink)`` from
-its constructor (``sink`` is ``pipelines/streaming._sink_args``' shape;
-every key defaults to "no sink"), names its own mutable state in
+An actor emits output rows only through ``_divert`` and late rows only
+through ``_note_late``; its methods return no tables.  In sink mode both
+stage into the exactly-once layout (output under ``sink_dir``, late rows
+under its ``_late/`` side output) and the driver only commits manifests;
+actor memory for both is O(stage buffer), never O(stream).  In
+driver-collect mode (small runs and tests) both are held in actor memory,
+checkpointed with the base's fields, and returned once by ``take_held``
+at end of stream.  A subclass calls ``_init_staging(**sink)`` from its
+constructor (``sink`` is ``pipelines/streaming._sink_args``' shape; every
+key defaults to "no sink"), names its own mutable state in
 ``_CKPT_FIELDS``, and keeps only its operator logic.
 
 The event-time gate (:class:`_SweepGateBase`) is where disordered
@@ -57,13 +61,15 @@ def grow_sorted_keys(
 
 
 class _StagedEmitterBase:
-    """Sink staging, the counted late side output, the end-of-stream
-    ``sink_flush`` and the ``checkpoint_state`` / ``restore_state`` pair
-    shared by the streaming state actors.  A checkpointing subclass names
-    its mutable state in ``_CKPT_FIELDS``; the base's own (``n_late``,
-    ``wm``, ``_late_mem``) is snapshotted with it.  There is no default,
-    so an actor that never declared its state cannot snapshot a part of
-    it."""
+    """Sink staging, the held output and the counted late side output,
+    the end-of-stream ``sink_flush`` / ``take_held`` and the
+    ``checkpoint_state`` / ``restore_state`` pair shared by the streaming
+    state actors.  A checkpointing subclass names its mutable state in
+    ``_CKPT_FIELDS``; the base's own (``_BASE_FIELDS``) is snapshotted
+    with it.  There is no default, so an actor that never declared its
+    state cannot snapshot a part of it."""
+
+    _BASE_FIELDS = ("n_late", "wm", "_out_mem", "_late_mem")
 
     def _init_staging(
         self,
@@ -94,6 +100,8 @@ class _StagedEmitterBase:
         self._late_buf_rows = 0
         self.wm = int(_MIN)
         self.n_late = 0
+        # driver-collect mode: output and late rows held until take_held
+        self._out_mem: list[pa.Table] = []
         self._late_mem: list[pa.Table] = []
 
     def _route_late(self, side: int, batch: pa.Table, ts: np.ndarray):
@@ -119,18 +127,18 @@ class _StagedEmitterBase:
         keep = ~late
         return batch.filter(pa.array(keep)), ts[keep]
 
-    def _divert(self, tables: list[pa.Table]) -> list[pa.Table]:
-        """In sink mode, stage emitted tables locally instead of returning
-        them (emitted rows never travel back through the driver)."""
-        if self.sink_dir is None or not tables:
-            return tables
+    def _divert(self, tables: list[pa.Table]) -> None:
+        """Emit output tables: staged in sink mode (emitted rows never
+        travel through the driver), else held for ``take_held``."""
+        if self.sink_dir is None:
+            self._out_mem.extend(tables)
+            return
         for t in tables:
             if t.num_rows:
                 self._sink_buf.append(t)
                 self._sink_rows += t.num_rows
         if self._sink_rows >= self.sink_stage_rows:
             self._flush_sink()
-        return []
 
     def _flush_sink(self) -> None:
         if not self._sink_buf:
@@ -169,10 +177,13 @@ class _StagedEmitterBase:
             self._late_done, self.sink_epoch,
         )
 
-    def late_rows(self) -> pa.Table | None:
-        """Driver-collected late rows (None in sink mode, where late rows
-        live in the ``<sink_dir>/_late`` layout — ``read_late(out_dir)``)."""
-        return pa.concat_tables(self._late_mem) if self._late_mem else None
+    def take_held(self) -> tuple[list[pa.Table], list[pa.Table]]:
+        """End of stream: return and clear the held ``(output, late)``
+        tables — both empty in sink mode, where they live in the staged
+        layouts (``read_output`` / ``read_late``)."""
+        held = self._out_mem, self._late_mem
+        self._out_mem, self._late_mem = [], []
+        return held
 
     def sink_flush(self) -> None:
         """End of stream: push any buffered emissions and late rows to the
@@ -188,7 +199,7 @@ class _StagedEmitterBase:
         this blob is the complete run state (nothing lives only in actor
         memory when the snapshot publishes)."""
         self.sink_flush()
-        fields = ("n_late", "wm", "_late_mem") + self._CKPT_FIELDS
+        fields = self._BASE_FIELDS + self._CKPT_FIELDS
         return pickle.dumps({k: getattr(self, k) for k in fields})
 
     def restore_state(self, blob: bytes) -> None:
@@ -196,7 +207,7 @@ class _StagedEmitterBase:
         this class's: a blob from a build that named its state otherwise
         would restore into dead attributes and commit wrong output."""
         state = pickle.loads(blob)
-        fields = ("n_late", "wm", "_late_mem") + self._CKPT_FIELDS
+        fields = self._BASE_FIELDS + self._CKPT_FIELDS
         if set(state) != set(fields):
             raise ValueError(
                 f"{type(self).__name__} checkpoint does not match this build: "

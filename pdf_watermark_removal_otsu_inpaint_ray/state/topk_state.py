@@ -75,89 +75,66 @@ class TopkStateActor(_StagedEmitterBase):
         self._swin, self._skey = w[st], kk[st]
         self._scnt = np.add.reduceat(c, st)
 
-    def _close_upto(self, wm: int) -> list[pa.Table]:
+    def _close_upto(self, wm: int) -> None:
         """Emit local top-k for every window whose last possible timestamp
         the watermark passed; evict its state."""
         # window w covers [w*slide, w*slide + ws - 1]; closed iff end <= wm
         # (slide == ws reduces to the tumbling (wm+1)//ws - 1)
         w_closed = (wm + 1 - self.window_size) // self.slide
-        if w_closed <= self.finalized_win or self._swin.size == 0:
-            self.finalized_win = max(self.finalized_win, int(w_closed))
-            return []
-        mask = self._swin <= w_closed
-        out: list[pa.Table] = []
-        if mask.any() and self.emit == "hist":
+        if w_closed > self.finalized_win and self._swin.size:
+            mask = self._swin <= w_closed
+            if mask.any():
+                self._divert([self._closed_table(mask)])
+                inv = ~mask
+                self._swin, self._skey, self._scnt = (
+                    self._swin[inv],
+                    self._skey[inv],
+                    self._scnt[inv],
+                )
+        self.finalized_win = max(self.finalized_win, int(w_closed))
+
+    def _closed_table(self, mask: np.ndarray) -> pa.Table:
+        """The emitted table of the closed windows' cells ``mask``."""
+        if self.emit == "hist":
             # sparse LOCAL histogram of the closed windows: every
             # (window, key=bin) -> count cell, verbatim — cells are
             # disjoint across actors (bin-hash routing), so the driver
             # fold is a concatenate + per-window quantile walk over
             # actors x bins rows (output scale, never row scale)
-            out = [
-                pa.table(
-                    {
-                        "window_id": pa.array(self._swin[mask], pa.int64()),
-                        self.key_col: pa.array(self._skey[mask], pa.int64()),
-                        "cnt": pa.array(self._scnt[mask], pa.int64()),
-                    }
-                )
-            ]
-            inv = ~mask
-            self._swin, self._skey, self._scnt = (
-                self._swin[inv],
-                self._skey[inv],
-                self._scnt[inv],
+            return pa.table(
+                {
+                    "window_id": pa.array(self._swin[mask], pa.int64()),
+                    self.key_col: pa.array(self._skey[mask], pa.int64()),
+                    "cnt": pa.array(self._scnt[mask], pa.int64()),
+                }
             )
-            self.finalized_win = max(self.finalized_win, int(w_closed))
-            return out
-        if mask.any() and self.emit == "distinct":
-            w = self._swin[mask]
-            wu, nd = np.unique(w, return_counts=True)
-            out = [
-                pa.table(
-                    {
-                        "window_id": pa.array(wu, pa.int64()),
-                        "n_distinct": pa.array(nd.astype(np.int64), pa.int64()),
-                    }
-                )
-            ]
-            inv = ~mask
-            self._swin, self._skey, self._scnt = (
-                self._swin[inv],
-                self._skey[inv],
-                self._scnt[inv],
+        if self.emit == "distinct":
+            wu, nd = np.unique(self._swin[mask], return_counts=True)
+            return pa.table(
+                {
+                    "window_id": pa.array(wu, pa.int64()),
+                    "n_distinct": pa.array(nd.astype(np.int64), pa.int64()),
+                }
             )
-            self.finalized_win = max(self.finalized_win, int(w_closed))
-            return out
-        if mask.any():
-            w, kk, c = self._swin[mask], self._skey[mask], self._scnt[mask]
-            # local top-k per window: one lexsort (window, -cnt, key) + rank
-            o = np.lexsort((kk, -c, w))
-            w, kk, c = w[o], kk[o], c[o]
-            first = np.concatenate(([True], w[1:] != w[:-1]))
-            idx = np.arange(w.size, dtype=np.int64)
-            start = np.maximum.accumulate(np.where(first, idx, 0))
-            keep = idx - start < self.k
-            out = [
-                pa.table(
-                    {
-                        "window_id": pa.array(w[keep], pa.int64()),
-                        self.key_col: pa.array(kk[keep], pa.int64()),
-                        "cnt": pa.array(c[keep], pa.int64()),
-                    }
-                )
-            ]
-            inv = ~mask
-            self._swin, self._skey, self._scnt = (
-                self._swin[inv],
-                self._skey[inv],
-                self._scnt[inv],
-            )
-        self.finalized_win = max(self.finalized_win, int(w_closed))
-        return out
+        w, kk, c = self._swin[mask], self._skey[mask], self._scnt[mask]
+        # local top-k per window: one lexsort (window, -cnt, key) + rank
+        o = np.lexsort((kk, -c, w))
+        w, kk, c = w[o], kk[o], c[o]
+        first = np.concatenate(([True], w[1:] != w[:-1]))
+        idx = np.arange(w.size, dtype=np.int64)
+        start = np.maximum.accumulate(np.where(first, idx, 0))
+        keep = idx - start < self.k
+        return pa.table(
+            {
+                "window_id": pa.array(w[keep], pa.int64()),
+                self.key_col: pa.array(kk[keep], pa.int64()),
+                "cnt": pa.array(c[keep], pa.int64()),
+            }
+        )
 
-    def ingest(self, batch: pa.Table, watermark: int) -> tuple[list[pa.Table], int]:
-        """Absorb a micro-batch, close every window the watermark passed.
-        Returns (local top-k tables for newly closed windows, n_late)."""
+    def ingest(self, batch: pa.Table, watermark: int) -> None:
+        """Absorb a micro-batch, close every window the watermark passed
+        (their local top-k tables are the emitted output)."""
         self.wm = max(self.wm, watermark)
         ts = np.asarray(batch[self.ts_col], np.int64)
         # a row's NEWEST containing window is ts // slide; it is LATE only
@@ -181,11 +158,11 @@ class TopkStateActor(_StagedEmitterBase):
                 win = np.repeat(w_lo, reps) + _intra_run_arange(reps)
                 kk = np.repeat(keys, reps)
             self._merge(win, kk)
-        return self._close_upto(self.wm), self.n_late
+        self._close_upto(self.wm)
 
-    def flush(self) -> list[pa.Table]:
+    def flush(self) -> None:
         """End of stream: close every remaining window."""
-        return self._close_upto(1 << 62)
+        self._close_upto(1 << 62)
 
     def state_stats(self) -> dict:
         return {

@@ -66,9 +66,9 @@ class UpsertStateActor(_StagedEmitterBase):
         self._delta_rows = 0
         self.n_rows = 0
 
-    def ingest(self, batch: pa.Table) -> int:
+    def ingest(self, batch: pa.Table) -> None:
         """Absorb a micro-batch: prune to the batch's latest per key,
-        buffer, compact past the threshold.  Returns live state rows."""
+        buffer, compact past the threshold."""
         self.n_rows += batch.num_rows
         pruned = _latest_prune(
             batch, self.group_col, self.order_col, self.tiebreak_col
@@ -77,7 +77,6 @@ class UpsertStateActor(_StagedEmitterBase):
         self._delta_rows += pruned.num_rows
         if self._delta_rows >= self.compact_rows:
             self._compact()
-        return (0 if self._state is None else self._state.num_rows) + self._delta_rows
 
     def _compact(self) -> None:
         if not self._delta:
@@ -89,17 +88,17 @@ class UpsertStateActor(_StagedEmitterBase):
             self.tiebreak_col,
         )
 
-    def flush(self) -> list[pa.Table]:
+    def flush(self) -> None:
         """End of stream: compact, emit the materialized state (one row per
-        key; diverted to the staged sink layout in sink mode)."""
+        key)."""
         self._compact()
         if self._state is None or self._state.num_rows == 0:
-            return []
+            return
         out = self._state
         # staged layout partitions on doc_id: the key is unique per state row
         if "doc_id" not in out.column_names:
             out = out.append_column("doc_id", out[self.group_col].cast(pa.int64()))
-        return self._divert([out])
+        self._divert([out])
 
     _CKPT_FIELDS = ("_state", "_delta", "_delta_rows", "n_rows")
 

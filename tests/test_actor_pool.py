@@ -115,6 +115,11 @@ def _no_prepare(src, out):
     pass
 
 
+def _driver_collect(run):
+    """``run`` without a sink: the output comes back on the result."""
+    return lambda src, _out: run(src, None)
+
+
 TOPOLOGIES = {
     "keyed": (_no_prepare, _keyed),
     "keyed_checkpoint_resume": _crash_then_resume(_keyed),
@@ -123,6 +128,8 @@ TOPOLOGIES = {
     "salted": (_no_prepare, functools.partial(_salted_mc, cfg=STICKY)),
     "salted_sessions": (_no_prepare, functools.partial(_salted_mc, cfg=SESSION)),
     "salted_multi_consumer": (_no_prepare, _salted_mc),
+    "keyed_driver_collect": (_no_prepare, _driver_collect(_keyed)),
+    "salted_driver_collect": (_no_prepare, _driver_collect(_salted_mc)),
 }
 
 
@@ -130,8 +137,12 @@ TOPOLOGIES = {
 def test_warm_run_byte_identical_to_fresh(ray_session, tmp_path, topology):
     """The same run on fresh actors and on warm actors that just served an
     unrelated run (another window kind, detection mode, stream and sink
-    dir) commits byte-identical output, and the warm run spawns nothing."""
+    dir) commits byte-identical output, and the warm run spawns nothing.
+    The driver-collect topologies compare ``result.output`` after a
+    driver-collect unrelated run: rows an actor held must not survive its
+    reset."""
     prepare, run = TOPOLOGIES[topology]
+    collect = topology.endswith("driver_collect")
     src = str(tmp_path / "src")
     _stream(src, 400, n_sources=3, rows_per_ts=1 if topology == "salted_sessions" else None)
     other = str(tmp_path / "other_src")
@@ -143,13 +154,17 @@ def test_warm_run_byte_identical_to_fresh(ray_session, tmp_path, topology):
     fresh = run(src, str(tmp_path / "fresh"))
 
     prepare(src, str(tmp_path / "warm"))
-    _salted_mc(other, str(tmp_path / "unrelated"), cfg=OTHER)
+    _salted_mc(other, None if collect else str(tmp_path / "unrelated"), cfg=OTHER)
     warm_ids = _all_idle_ids()
     warm = run(src, str(tmp_path / "warm"))
     assert _all_idle_ids() == warm_ids  # every actor came from the pool
 
     assert warm.n_late == fresh.n_late == 0
-    assert _collect(str(tmp_path / "warm")).equals(_collect(str(tmp_path / "fresh")))
+    if collect:
+        assert warm.output.num_rows == 400
+        assert warm.output.equals(fresh.output)
+    else:
+        assert _collect(str(tmp_path / "warm")).equals(_collect(str(tmp_path / "fresh")))
 
 
 def test_reset_actor_state_equals_fresh_actor(ray_session, tmp_path):

@@ -84,6 +84,12 @@ def _collect(tables):
     return pa.concat_tables(tables).sort_by("doc_id")
 
 
+def _held_output(actor):
+    """The output the actor emitted since the last take, which clears it."""
+    out, _late = actor.take_held()
+    return out
+
+
 def _golden_token(table, cfg):
     wm = golden.golden_wm_table(table, cfg)
     return lambda k: wm.get(k, (-1, 0.0))[0]
@@ -109,11 +115,13 @@ def test_ingest_round_fuses_windows(window, mode, small_cap, kernel_calls):
 
     actor = _actor(cfg)
     actor.ingest(table, LOW_WM)
+    assert _held_output(actor) == []
     n_windows = len(actor.buffers)
     assert n_windows > 20 and len({s for s, _ in actor.buffers}) == 6
     kernel_calls.clear()
-    out, n_late = actor.ingest(table.slice(0, 0), HIGH_WM)
-    assert n_late == 0
+    actor.ingest(table.slice(0, 0), HIGH_WM)
+    out = _held_output(actor)
+    assert actor.n_late == 0
     assert len(kernel_calls) == math.ceil(table.num_rows / CAP) < n_windows
     assert max(kernel_calls) <= CAP
     got = _collect(out)
@@ -145,8 +153,10 @@ def test_sticky_first_detection_inside_the_round(small_cap, kernel_calls):
 
     actor = _actor(cfg)
     actor.ingest(table, LOW_WM)
+    assert _held_output(actor) == []
     kernel_calls.clear()
-    out, _ = actor.ingest(table.slice(0, 0), HIGH_WM)
+    actor.ingest(table.slice(0, 0), HIGH_WM)
+    out = _held_output(actor)
     assert len(kernel_calls) == math.ceil(table.num_rows / CAP)
     got = _collect(out)
     assert got.equals(expected)
@@ -167,7 +177,8 @@ def test_window_without_histogram_keeps_minus_one(small_cap, kernel_calls):
     assert token(bare) >= 0  # the hist would have detected: -1 comes from its absence
 
     kernel_calls.clear()
-    out, _ = actor.ingest(table.slice(0, 0), HIGH_WM)
+    actor.ingest(table.slice(0, 0), HIGH_WM)
+    out = _held_output(actor)
     assert len(kernel_calls) == math.ceil(table.num_rows / CAP)
     assert _collect(out).equals(expected)
 
@@ -186,7 +197,8 @@ def test_finalize_windows_fuses_the_fan_out(small_cap, kernel_calls):
     items = [(s, w, tok) for (s, w), tok in given.items()] + [("absent", 3, 120)]
 
     kernel_calls.clear()
-    out = actor.finalize_windows(items)
+    actor.finalize_windows(items)
+    out = _held_output(actor)
     assert len(kernel_calls) == math.ceil(table.num_rows / CAP) < len(keys)
     assert _collect(out).equals(expected)
     assert not actor.buffers and ("absent", 3) in actor.finalized
@@ -225,7 +237,8 @@ def test_finalize_sessions_salted_fuses_and_keeps_open_rows(small_cap, kernel_ca
     )
 
     kernel_calls.clear()
-    out = actor.finalize_sessions_salted(items)
+    actor.finalize_sessions_salted(items)
+    out = _held_output(actor)
     assert len(kernel_calls) == math.ceil(closed_rows.num_rows / CAP) < len(closed)
     assert _collect(out).equals(expected)
     assert actor.state_stats()["buffered_rows"] == table.num_rows - closed_rows.num_rows
@@ -244,8 +257,10 @@ def test_flush_groups_stay_under_the_cap(kernel_calls):
     )
     actor = _actor(cfg)
     actor.ingest(table, LOW_WM)
+    assert _held_output(actor) == []
     kernel_calls.clear()
-    out = actor.flush()
+    actor.flush()
+    out = _held_output(actor)
     assert len(kernel_calls) == math.ceil(table.num_rows / cap) >= 2
     assert max(kernel_calls) <= cap and sum(kernel_calls) == table.num_rows
     assert sum(t.num_rows for t in out) == table.num_rows

@@ -52,9 +52,12 @@ def test_sliding_open_window_hist_survives_finalize(ray_session):
     ray.get(actor.ingest.remote(_rows([("d3", [50] * 10, 3), ("d10", row_b, 10)]), -(1 << 62)))
     ray.get(actor.ingest.remote(_empty(), 13))  # finalizes windows with end <= 13
     ray.get(actor.ingest.remote(_rows([("d7", row_a, 7)]), 13))  # on-time
-    emitted, n_late = ray.get(actor.ingest.remote(_empty(), 13))
-    assert n_late == 0
-    flushed = ray.get(actor.flush.remote())
+    ray.get(actor.take_held.remote())  # what the calls above emitted
+    ray.get(actor.ingest.remote(_empty(), 13))
+    emitted, _ = ray.get(actor.take_held.remote())
+    assert ray.get(actor.state_stats.remote())["n_late"] == 0
+    ray.get(actor.flush.remote())
+    flushed, _ = ray.get(actor.take_held.remote())
     out = pa.concat_tables(
         [t for t in emitted + flushed if t.num_rows], promote_options="none"
     )
@@ -71,16 +74,19 @@ def test_watermark_is_monotonic_across_consumers(ray_session):
     cfg = DEFAULT_CONFIG.with_(window_kind="tumbling", window_size=10, allowed_lateness=0)
     actor = KeyedStateActor.remote(cfg)
     ray.get(actor.ingest.remote(_rows([("d5", [120] * 50 + [200] * 300, 5)]), 5))
-    emitted1, _ = ray.get(actor.ingest.remote(_empty(), 12))
+    ray.get(actor.take_held.remote())  # what the call above emitted
+    ray.get(actor.ingest.remote(_empty(), 12))
+    emitted1, _ = ray.get(actor.take_held.remote())
     assert sum(t.num_rows for t in emitted1) == 1  # window 0 finalized at wm=12
     # straggler for window 0 arrives with a STALE watermark of 4
-    emitted2, n_late = ray.get(actor.ingest.remote(_rows([("d6", [120] * 10, 6)]), 4))
-    assert n_late == 1
-    flushed = ray.get(actor.flush.remote())
+    ray.get(actor.ingest.remote(_rows([("d6", [120] * 10, 6)]), 4))
+    emitted2, late = ray.get(actor.take_held.remote())
+    assert ray.get(actor.state_stats.remote())["n_late"] == 1
+    ray.get(actor.flush.remote())
+    flushed, _ = ray.get(actor.take_held.remote())
     total = sum(t.num_rows for t in emitted1 + emitted2 + flushed)
     assert total == 1  # window 0 emitted exactly once; no duplicate emission
-    late = ray.get(actor.late_rows.remote())
-    assert late is not None and late["doc_id"].to_pylist() == ["d6"]
+    assert late and pa.concat_tables(late)["doc_id"].to_pylist() == ["d6"]
 
 
 def _source_batch(i: int, n_sources: int) -> pa.Table:
@@ -111,8 +117,8 @@ def test_session_state_keeps_only_live_sources(ray_session):
 
     actor = KeyedStateActor.remote(cfg)
     for i, b in enumerate(batches):
-        _emitted, n_late = ray.get(actor.ingest.remote(b, 100 * i - 1))
-        assert n_late == 0
+        ray.get(actor.ingest.remote(b, 100 * i - 1))
+        assert ray.get(actor.state_stats.remote())["n_late"] == 0
     state = pickle.loads(ray.get(actor.checkpoint_state.remote()))
     assert set(state["sessions"]) == live
     assert all(state["sessions"].values())

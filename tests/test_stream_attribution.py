@@ -252,7 +252,8 @@ def test_first_touch_actor_trailing_conversion_band_spill(ray_session):
             "event_type": pa.array(["click", "click", "purchase"]),
         }
     )
-    out = ray.get(actor.ingest.remote(batch, 24))
+    ray.get(actor.ingest.remote(batch, 24))
+    out, _late = ray.get(actor.take_held.remote())
     rows = [r for t in out for r in t.to_pylist()]
     assert len(rows) == 1
     assert rows[0]["conv_id"] == 900
@@ -269,6 +270,7 @@ def test_first_touch_actor_trailing_conversion_band_spill(ray_session):
         }
     )
     ray.get(actor2.ingest.remote(t1, 5))
+    ray.get(actor2.take_held.remote())  # what the call above emitted
     t2 = pa.table(
         {
             "user_id": pa.array([5, 2], pa.int64()),
@@ -277,7 +279,8 @@ def test_first_touch_actor_trailing_conversion_band_spill(ray_session):
             "event_type": pa.array(["click", "purchase"]),
         }
     )
-    out2 = ray.get(actor2.ingest.remote(t2, 40))
+    ray.get(actor2.ingest.remote(t2, 40))
+    out2, _late = ray.get(actor2.take_held.remote())
     rows2 = {
         r["conv_id"]: r["touch_id"] for t in out2 for r in t.to_pylist()
     }

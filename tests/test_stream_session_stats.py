@@ -158,8 +158,10 @@ def test_session_actor_continuation_run_keeps_leading_rows(ray_session):
     # micro-batches with advancing watermark: the second batch's first
     # row (220) continues the open session from the first batch
     for lo, hi, wm in ((0, 2, 160), (2, 6, 370), (6, 8, 2100)):
-        out.extend(ray.get(a.ingest.remote(rows.slice(lo, hi - lo), wm)))
-    out.extend(ray.get(a.flush.remote()))
+        ray.get(a.ingest.remote(rows.slice(lo, hi - lo), wm))
+        out.extend(ray.get(a.take_held.remote())[0])
+    ray.get(a.flush.remote())
+    out.extend(ray.get(a.take_held.remote())[0])
     got = pa.concat_tables(out).to_pandas().sort_values("session_id")
     rows_out = list(
         map(tuple, got[["session_id", "n_events", "start_us", "end_us"]].to_numpy())

@@ -60,6 +60,13 @@ def _events(ts, seq0=0):
     )
 
 
+def _held_late(actor):
+    """The late rows the actor held since the last take (which clears
+    them), as one table."""
+    _out, late = actor.take_held()
+    return pa.concat_tables(late)
+
+
 def _pending_ids(actor):
     if not actor._pending:
         return set()
@@ -76,7 +83,7 @@ def test_gate_late_split(name):
     assert _pending_ids(a) == {2}  # ts 30 waits for the watermark
     a.ingest(_events([5, 20, 25, 40], seq0=100), 25)
     assert a.n_late == 2
-    late = a.late_rows()
+    late = _held_late(a)
     assert late["ts_us"].to_pylist() == [5, 20]
     assert late["doc_id"].to_pylist() == [100, 101]
     # ts 25 released at wm 25; the late rows never entered the buffer
@@ -129,7 +136,7 @@ def test_gate_dedup_late_rows_keep_their_doc_id():
     )
     a.ingest(rows, 20)
     a.ingest(rows, 20)  # a replay: ts 10 and 20 are now late
-    late = a.late_rows()
+    late = _held_late(a)
     assert late.schema == rows.schema
     assert late["doc_id"].to_pylist() == [500, 501]
     assert a.n_late == 2
@@ -163,7 +170,9 @@ def test_session_stats_flush_closes_every_session():
         ),
         -1,
     )
-    out = pa.concat_tables(a.flush()).sort_by(
+    a.flush()
+    out, _late = a.take_held()
+    out = pa.concat_tables(out).sort_by(
         [("user_id", "ascending"), ("session_id", "ascending")]
     )
     assert out.to_pylist() == [
