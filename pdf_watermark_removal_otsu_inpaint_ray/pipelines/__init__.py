@@ -1,3 +1,3 @@
-from .flagship import detect_watermarks, run_flagship
+from .flagship import run_flagship
 
-__all__ = ["detect_watermarks", "run_flagship"]
+__all__ = ["run_flagship"]

@@ -2,7 +2,7 @@
 SURVEY.md §3.1):
 
     read_parquet → [phase 1] windowed histogram partials → tiny groupby merge
-    → watermark table (broadcast) → [phase 2] fused detect/inpaint actor pool
+    → watermark table (broadcast) → [phase 2] fused detect/inpaint map tasks
     → sink (exactly-once parquet or a returned lazy Dataset)
 
 Phase 1 reads the stream once and moves only pre-aggregated 256-bin partials
@@ -20,13 +20,8 @@ import ray
 import ray.data
 
 from ..config import DEFAULT_CONFIG, EngineConfig
-from ..stages.detect import WmKey, compute_wm_table
-from ..stages.inpaint import InpaintStage
-
-
-def detect_watermarks(ds: "ray.data.Dataset", cfg: EngineConfig = DEFAULT_CONFIG) -> dict[WmKey, tuple[int, float]]:
-    """Phase 1 only: per-(source, window) watermark tokens."""
-    return compute_wm_table(ds, cfg)
+from ..stages.detect import compute_wm_table
+from ..stages.inpaint import make_inpaint_fn
 
 
 def run_flagship(
@@ -36,18 +31,16 @@ def run_flagship(
     wm: Optional[dict] = None,
     motif_docs: Optional[frozenset] = None,
     spans: Optional[dict] = None,
-    concurrency: Optional[int] = None,
     batch_size: int = 1024,
     emit_metadata: bool = True,
     session_map: Optional[dict] = None,
 ) -> "ray.data.Dataset":
     """Run detection (unless ``wm`` given) and return the lazy rewritten stream.
 
-    ``spans``: doc_id → padded ranges from the span-event join (J1,
-    broadcast small side).  ``concurrency``: None (default) runs phase 2 as
-    STATELESS map tasks on warm workers with a per-worker-process stage
-    cache (see make_inpaint_fn) — an int builds an explicit actor pool of
-    that size instead (for genuinely expensive per-process state).
+    Phase 2 runs as stateless map tasks on warm workers; each worker
+    process builds its stage once from the broadcast refs (see
+    make_inpaint_fn).  ``spans``: doc_id → padded ranges from the
+    span-event join (J1, broadcast small side).
     ``session_map``: precomputed per-source session boundaries — pass it
     when the caller already ran the phase-0 pass (auto_tune runs it once
     for all parameter groups) to avoid recomputing per call.
@@ -75,21 +68,6 @@ def run_flagship(
     motif_ref = ray.put(motif_docs) if motif_docs else None
     spans_ref = ray.put(spans) if spans else None
     session_ref = ray.put(session_map) if session_map is not None else None
-    if concurrency is not None:
-        # explicit actor pool (kept for API compat / expensive-state variants)
-        return ds.map_batches(
-            InpaintStage,
-            fn_constructor_args=(wm_ref, cfg, motif_ref, emit_metadata, spans_ref,
-                                 session_ref),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-    # default: stateless tasks on warm workers; the stage object is built
-    # once per worker process from the broadcast refs (see make_inpaint_fn)
-    from ..stages.inpaint import make_inpaint_fn
-
     return ds.map_batches(
         make_inpaint_fn(wm_ref, cfg, motif_ref, emit_metadata, spans_ref, session_ref),
         batch_format="pyarrow",

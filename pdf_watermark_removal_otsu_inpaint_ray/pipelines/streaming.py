@@ -33,6 +33,7 @@ import ray
 
 from ..config import DEFAULT_CONFIG, EngineConfig, scaled_parts
 from ..sinks.exactly_once import hash_partition_ids
+from ..stages.inpaint import REWRITTEN_SCHEMA
 from ..state import Resettable
 from ..state.keyed_state import KeyedStateActor, _WindowDecisions
 from ..state.watermark_tracker import WatermarkTracker
@@ -898,16 +899,4 @@ def _inpaint_output(tables: list) -> pa.Table:
     or the empty table of their schema."""
     if tables:
         return pa.concat_tables(tables).sort_by("doc_id")
-    return pa.table(
-        {
-            "doc_id": pa.array([], pa.string()),
-            "tokens": pa.array([], pa.list_(pa.int32())),
-            "n_tok": pa.array([], pa.int32()),
-            "source": pa.array([], pa.string()),
-            "event_ts": pa.array([], pa.int64()),
-            "wm_token": pa.array([], pa.int32()),
-            "coverage_pct": pa.array([], pa.float64()),
-            "radius": pa.array([], pa.int32()),
-            "n_passes": pa.array([], pa.int32()),
-        }
-    )
+    return REWRITTEN_SCHEMA.empty_table()

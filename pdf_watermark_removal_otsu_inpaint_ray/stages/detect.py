@@ -14,12 +14,10 @@ first-detection-wins instance state (watermark_detector.py:562-568,188).
 
 from __future__ import annotations
 
-from ..config import scaled_parts
-
 import numpy as np
 import pyarrow as pa
 
-from ..config import EngineConfig
+from ..config import EngineConfig, scaled_parts
 from ..golden import detect_wm_token
 from .kernels import batch_histograms, flatten_list_column
 
@@ -152,14 +150,62 @@ def factorize_key_pairs(
     return s_u, w_min, w_span, c_u, c_inv
 
 
-class HistogramPartials:
-    """Stateless map_batches body: batch → per-(source, window) partial hists.
+def contributing_windows(ts: np.ndarray, cfg: EngineConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every window each row's histogram feeds (tumbling/sliding/global),
+    as ``(window, valid)`` per shift: one shift for tumbling and global
+    windows, ceil(size / slide) for sliding ones, where a row feeds every
+    window covering its event_ts (golden.contributing_windows)."""
+    if cfg.window_kind != "sliding":
+        return [(assign_windows_batch(ts, cfg), np.ones(ts.size, dtype=bool))]
+    out = []
+    for j in range(-(-cfg.window_size // cfg.window_slide)):
+        w = ts // cfg.window_slide - j
+        out.append((w, (w >= 0) & (ts - w * cfg.window_slide < cfg.window_size)))
+    return out
 
-    Output rows: (source, window_id, hist:list<int64>[cfg.gray_mod]).
-    For sliding windows each row contributes to every window covering its
-    event_ts (golden.contributing_windows), implemented as a small loop over
-    the ≤ size/slide window shifts — still one np.add.at per shift.
-    """
+
+def window_partials(
+    fb, src: np.ndarray, shifts, cfg: EngineConfig
+) -> tuple[list[str], list[int], np.ndarray]:
+    """Per-(source, window) histogram partials of a flattened batch: one
+    factorization and one :func:`batch_histograms` per ``(window, valid)``
+    shift.  Returns ``(sources, windows, hists int64[K, gray_mod])``, one
+    row per key of each shift."""
+    out_src: list[str] = []
+    out_win: list[int] = []
+    hists = [np.zeros((0, cfg.gray_mod), dtype=np.int64)]
+    for win, valid in shifts:
+        v = np.nonzero(valid)[0]
+        if v.size == 0:
+            continue
+        s_u, w_min, w_span, c_u, c_inv = factorize_key_pairs(src[v], win[v])
+        key_row = np.full(src.size, -1, dtype=np.int64)
+        key_row[v] = c_inv
+        hists.append(batch_histograms(fb, key_row, c_u.size, cfg))
+        out_src.extend(str(s) for s in s_u[c_u // w_span])
+        out_win.extend((c_u % w_span + w_min).tolist())
+    return out_src, out_win, np.concatenate(hists)
+
+
+def _partials_table(srcs, wins, hists: np.ndarray, gray_mod: int) -> pa.Table:
+    """(source, window_id, hist:list<int64>[gray_mod]) partial rows."""
+    offs = np.arange(0, (len(srcs) + 1) * gray_mod, gray_mod, dtype=np.int32)
+    return pa.table(
+        {
+            "source": pa.array([str(s) for s in srcs], pa.string()),
+            "window_id": pa.array(np.asarray(wins, dtype=np.int64), pa.int64()),
+            "hist": pa.ListArray.from_arrays(
+                pa.array(offs, pa.int32()), pa.array(hists.reshape(-1), pa.int64())
+            ),
+        }
+    )
+
+
+class HistogramPartials:
+    """Stateless map_batches body of phase 1: batch → per-(source, window)
+    partial hists (:func:`window_partials` over the batch's
+    :func:`contributing_windows`, or over the broadcast session mapping's
+    windows)."""
 
     def __init__(self, cfg: EngineConfig, session_map: "SessionMap | None" = None):
         self.cfg = cfg
@@ -167,55 +213,17 @@ class HistogramPartials:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
-        fb = flatten_list_column(batch["tokens"])
         src = np.asarray(batch["source"])
         ts = np.asarray(batch["event_ts"], dtype=np.int64)
-
-        out_src: list[str] = []
-        out_win: list[int] = []
-        hists: list[np.ndarray] = []
-
         if cfg.window_kind == "session":
             w = lookup_session_windows(self.session_map, src, ts)
-            shift_windows = [w]
             # drift rows with no governing session contribute to no hist
-            # (and NO_WINDOW = int64 min would overflow the w_span
-            # factorization below)
-            valid_masks = [w != NO_WINDOW]
-        elif cfg.window_kind == "sliding":
-            n_shifts = -(-cfg.window_size // cfg.window_slide)  # ceil
-            shift_windows = [ts // cfg.window_slide - j for j in range(n_shifts)]
-            valid_masks = [
-                (w >= 0) & (ts - w * cfg.window_slide < cfg.window_size)
-                for j, w in enumerate(shift_windows)
-            ]
+            # (and NO_WINDOW = int64 min would overflow the factorization)
+            shifts = [(w, w != NO_WINDOW)]
         else:
-            shift_windows = [assign_windows_batch(ts, cfg)]
-            valid_masks = [np.ones(ts.size, dtype=bool)]
-
-        for win, valid in zip(shift_windows, valid_masks):
-            # vectorized factorization of (source, window) pairs for this shift
-            v = np.nonzero(valid)[0]
-            if v.size == 0:
-                continue
-            s_u, w_min, w_span, c_u, c_inv = factorize_key_pairs(src[v], win[v])
-            key_row = np.full(ts.size, -1, dtype=np.int64)
-            key_row[v] = c_inv
-            H = batch_histograms(fb, key_row, c_u.size, cfg)
-            for ki, c in enumerate(c_u):
-                out_src.append(str(s_u[c // w_span]))
-                out_win.append(int(c % w_span + w_min))
-                hists.append(H[ki])
-
-        flat = np.concatenate(hists) if hists else np.zeros(0, dtype=np.int64)
-        offs = np.arange(0, (len(hists) + 1) * self.cfg.gray_mod, self.cfg.gray_mod, dtype=np.int32)
-        return pa.table(
-            {
-                "source": pa.array(out_src, pa.string()),
-                "window_id": pa.array(out_win, pa.int64()),
-                "hist": pa.ListArray.from_arrays(pa.array(offs, pa.int32()), pa.array(flat, pa.int64())),
-            }
-        )
+            shifts = contributing_windows(ts, cfg)
+        out = window_partials(flatten_list_column(batch["tokens"]), src, shifts, cfg)
+        return _partials_table(*out, cfg.gray_mod)
 
 
 def detect_wm_many(hists: np.ndarray, cfg: EngineConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -279,16 +287,7 @@ def _tree_merge_partials(partials, cfg: EngineConfig, num_parts: int | None = No
         srcs = np.asarray(g["source"].to_pylist(), dtype=object)
         wins = np.asarray(g["window_id"], np.int64)
         hists = flatten_list_column(g["hist"]).values.reshape(g.num_rows, gm).astype(np.int64)
-        o_src, o_win, merged = _merge_hist_rows(srcs, wins, hists, gm)
-        n = merged.shape[0]
-        offs = pa.array(np.arange(0, (n + 1) * gm, gm, dtype=np.int32), pa.int32())
-        return pa.table(
-            {
-                "source": pa.array([str(s) for s in o_src], pa.string()),
-                "window_id": pa.array(o_win.astype(np.int64), pa.int64()),
-                "hist": pa.ListArray.from_arrays(offs, pa.array(merged.reshape(-1), pa.int64())),
-            }
-        )
+        return _partials_table(*_merge_hist_rows(srcs, wins, hists, gm), gm)
 
     return (
         partials.map_batches(add_pk, batch_format="pyarrow")

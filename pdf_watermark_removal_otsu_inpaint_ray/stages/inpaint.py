@@ -1,11 +1,14 @@
-"""Phase-2 rewrite: the fused detect→protect→refine→inpaint→blend stage.
+"""Phase-2 rewrite: the fused detect→protect→refine→inpaint→blend stage,
+and the rewritten-row table both tiers emit.
 
-One actor-pool ``map_batches`` stage (M2-M13 fused, SURVEY.md §2.2): the
-watermark table (small side) is broadcast once via ``ray.put`` and fetched in
-each actor's ``__init__`` — never re-shipped per batch.  The per-batch body is
+The flagship runs :class:`InpaintStage` as stateless ``map_batches`` tasks
+(M2-M13 fused, SURVEY.md §2.2) through :func:`make_inpaint_fn`: the
+watermark table (small side) is broadcast once via ``ray.put`` and fetched
+once per worker process — never re-shipped per batch.  The per-batch body is
 entirely flat-vectorized (:mod:`.kernels`); output tokens reuse the input
 offsets (lengths are preserved, mirroring the reference's images-in/images-out
-contract, watermark_remover.py:174-232).
+contract, watermark_remover.py:174-232).  The streaming state actors build
+their output with the same :func:`rewritten_table`.
 """
 
 from __future__ import annotations
@@ -13,11 +16,35 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
-
 from ..config import EngineConfig
+from ..schema import SEQ_SCHEMA_TS
 from .detect import NO_WINDOW, WmKey, assign_windows_batch, factorize_key_pairs
 from .kernels import flatten_list_column, process_batch_flat
+
+# The rewritten-row table of both tiers: the input row with its rewritten
+# tokens, then the rewrite's per-row metadata (left out when a caller turns
+# ``emit_metadata`` off).
+_METADATA_FIELDS = [
+    ("wm_token", pa.int32()),
+    ("coverage_pct", pa.float64()),
+    ("radius", pa.int32()),
+    ("n_passes", pa.int32()),
+]
+REWRITTEN_SCHEMA = pa.schema(list(SEQ_SCHEMA_TS) + _METADATA_FIELDS)
+
+
+def rewritten_table(batch: pa.Table, fb, res, emit_metadata: bool = True) -> pa.Table:
+    """The :data:`REWRITTEN_SCHEMA` table of ``batch`` rewritten by
+    ``res = process_batch_flat(fb, ...)`` over ``fb``, the batch's
+    flattened tokens.  The other input columns pass through unchanged."""
+    tokens = pa.ListArray.from_arrays(
+        pa.array(fb.offsets.astype(np.int32), pa.int32()), pa.array(res.values, pa.int32())
+    )
+    cols = [tokens if name == "tokens" else batch[name] for name in SEQ_SCHEMA_TS.names]
+    if emit_metadata:
+        meta = (res.wm_row, res.coverage_pct, res.radius, res.n_passes)
+        cols += [pa.array(v, t) for v, (_, t) in zip(meta, _METADATA_FIELDS)]
+    return pa.Table.from_arrays(cols, names=REWRITTEN_SCHEMA.names[: len(cols)])
 
 
 def lookup_wm_rows(
@@ -54,12 +81,11 @@ def lookup_wm_rows(
 # map tasks reuse warm worker processes, so state amortizes exactly like an
 # actor pool but without paying a fresh process spawn + imports per pool
 # (an actor pool spawns NEW processes per execution; ~2-3 s x pool size of
-# non-scaling ramp).  The actor-pool form below is kept for stages whose
-# state is genuinely expensive per process (models), cf. ray_guide.md.
-# Bounded: a warm worker serving many successive runs sees a fresh ref hex
-# (hence a fresh key) per run, so without eviction the fetched wm tables /
-# built stages of finished runs would accumulate forever.  LRU via dict
-# insertion order — entries from live runs are re-inserted on hit.
+# non-scaling ramp).  Bounded: a warm worker serving many successive runs
+# sees a fresh ref hex (hence a fresh key) per run, so without eviction the
+# fetched wm tables / built stages of finished runs would accumulate
+# forever.  LRU via dict insertion order — entries from live runs are
+# re-inserted on hit.
 _PROCESS_CACHE: dict = {}
 _PROCESS_CACHE_MAX = 32
 
@@ -149,29 +175,25 @@ def make_inpaint_fn(wm_ref, cfg, motif_ref=None, emit_metadata=True, spans_ref=N
 
 class InpaintStage:
     """The fused rewrite stage: rewrite watermark spans per the governing
-    window's detection.  Usable as an actor-pool class (state fetched once
-    per actor in ``__init__`` — T3/T4 pattern, yolo_detector.py:57-146
-    analog) or wrapped by :func:`make_inpaint_fn` for stateless tasks with
-    per-worker caching (the default fast path)."""
+    window's detection.  Takes resolved values; :func:`make_inpaint_fn`
+    fetches them from their broadcast refs once per worker process and
+    caches the built stage."""
 
     def __init__(
         self,
-        wm_ref,
+        wm: dict,
         cfg: EngineConfig,
-        motif_ref=None,
+        motif_docs=None,
         emit_metadata: bool = True,
-        spans_ref=None,
-        session_ref=None,
+        spans=None,
+        session_map=None,
     ):
-        def fetch(x):
-            return ray.get(x) if isinstance(x, ray.ObjectRef) else x
-
-        self.wm = fetch(wm_ref)
-        self.motif_docs = fetch(motif_ref) if motif_ref is not None else frozenset()
+        self.wm = wm
+        self.motif_docs = motif_docs or frozenset()
         # doc_id -> padded [start, stop) ranges from the span-event join (J1)
-        self.spans = fetch(spans_ref) if spans_ref is not None else {}
+        self.spans = spans or {}
         # broadcast session-window mapping (batch-path session windows)
-        self.session_map = fetch(session_ref) if session_ref is not None else None
+        self.session_map = session_map
         self.cfg = cfg
         self.emit_metadata = emit_metadata
 
@@ -214,22 +236,4 @@ class InpaintStage:
                 )
 
         res = process_batch_flat(fb, wm_row, cfg, max_span_row, forced_pos)
-        off32 = pa.array(fb.offsets.astype(np.int32), pa.int32())
-        tokens_out = pa.ListArray.from_arrays(off32, pa.array(res.values, pa.int32()))
-        cols = {
-            "doc_id": batch["doc_id"],
-            "tokens": tokens_out,
-            "n_tok": batch["n_tok"],
-            "source": batch["source"],
-            "event_ts": batch["event_ts"],
-        }
-        if self.emit_metadata:
-            cols.update(
-                {
-                    "wm_token": pa.array(res.wm_row, pa.int32()),
-                    "coverage_pct": pa.array(res.coverage_pct, pa.float64()),
-                    "radius": pa.array(res.radius, pa.int32()),
-                    "n_passes": pa.array(res.n_passes, pa.int32()),
-                }
-            )
-        return pa.table(cols)
+        return rewritten_table(batch, fb, res, self.emit_metadata)

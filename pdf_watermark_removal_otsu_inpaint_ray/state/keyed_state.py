@@ -25,6 +25,10 @@ Either way the actor applies the decisions through ``finalize_windows`` or
 ``_FUSED_REWRITE_ROWS`` rows with a per-row token vector, not one call per
 (typically small) window.  Rows whose governing window already finalized
 are routed to the late-data side output (counted, never silently dropped).
+Window assignment, the per-(source, window) histogram deltas and the
+rewritten-row table are the batch tier's (``stages.detect``
+``assign_windows_batch`` / ``contributing_windows`` / ``window_partials``,
+``stages.inpaint.rewritten_table``), so both tiers run one copy of each.
 The rewritten rows leave the actor through the shared state-actor base
 (:class:`.staging._StagedEmitterBase`): staged in sink mode, else held
 until the driver's one end-of-stream ``take_held``; that base also owns
@@ -39,7 +43,14 @@ import pyarrow as pa
 import ray
 
 from ..config import EngineConfig
-from ..stages.detect import detect_wm_many
+from ..stages.detect import (
+    assign_windows_batch,
+    contributing_windows,
+    detect_wm_many,
+    factorize_key_pairs,
+    window_partials,
+)
+from ..stages.inpaint import rewritten_table
 from ..stages.kernels import (
     batch_histograms,
     flatten_list_column,
@@ -248,7 +259,7 @@ class KeyedStateActor(_WindowDecisions, _StagedEmitterBase, Resettable):
         finalized by the salted aggregator can never re-open."""
         ts = np.asarray(batch["event_ts"], dtype=np.int64)
         src = np.asarray(batch["source"])
-        govern = self._governing(ts)
+        govern = assign_windows_batch(ts, self.cfg)
         late = _window_end(govern, self.cfg) <= watermark
         late |= self._finalized_mask(src, govern)
         if late.any():
@@ -258,82 +269,31 @@ class KeyedStateActor(_WindowDecisions, _StagedEmitterBase, Resettable):
             ts, src, govern = ts[keep], src[keep], govern[keep]
         return batch, ts, src, govern
 
-    def _governing(self, ts: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        if cfg.window_kind == "tumbling":
-            return ts // cfg.window_size
-        if cfg.window_kind == "sliding":
-            return ts // cfg.window_slide
-        if cfg.window_kind == "global":
-            return np.zeros(ts.size, dtype=np.int64)
-        raise ValueError(cfg.window_kind)
-
-    def _contributing(self, ts: np.ndarray) -> list[np.ndarray]:
-        cfg = self.cfg
-        if cfg.window_kind in ("tumbling", "global"):
-            return [(self._governing(ts), np.ones(ts.size, bool))]
-        out = []
-        n_shifts = -(-cfg.window_size // cfg.window_slide)
-        for j in range(n_shifts):
-            w = ts // cfg.window_slide - j
-            valid = (w >= 0) & (ts - w * cfg.window_slide < cfg.window_size)
-            out.append((w, valid))
-        return out
-
     def _finalized_mask(self, src: np.ndarray, govern: np.ndarray) -> np.ndarray:
         """Per-row membership of (source, governing window) in
         ``self.finalized`` — evaluated once per UNIQUE pair and broadcast
         back (a batch has a handful of distinct pairs, not one per row)."""
         if not self.finalized or src.size == 0:
             return np.zeros(src.size, dtype=bool)
-        s_u, s_inv = np.unique(src, return_inverse=True)
-        g_min = int(govern.min())
-        span = int(govern.max()) - g_min + 1
-        combo = s_inv.astype(np.int64) * span + (govern - g_min)
-        c_u, c_inv = np.unique(combo, return_inverse=True)
+        s_u, w_min, w_span, c_u, c_inv = factorize_key_pairs(src, govern)
         fin_u = np.array(
-            [(str(s_u[c // span]), int(c % span + g_min)) in self.finalized for c in c_u],
+            [(str(s_u[c // w_span]), int(c % w_span + w_min)) in self.finalized for c in c_u],
             dtype=bool,
         )
         return fin_u[c_inv]
 
-    def _combo_histograms(self, fb, n_rows: int, src, win, valid):
-        """(source, window, hist) partials for one contributing shift —
-        vectorized unique-combo bucketing, the deltas :meth:`ingest_partial`
-        returns."""
-        v = np.nonzero(valid)[0]
-        if v.size == 0:
-            return []
-        s_u, s_inv = np.unique(src[v], return_inverse=True)
-        w_v = win[v]
-        w_min, w_span = int(w_v.min()), int(w_v.max() - w_v.min()) + 1
-        combo = s_inv.astype(np.int64) * w_span + (w_v - w_min)
-        c_u, c_inv = np.unique(combo, return_inverse=True)
-        key_row = np.full(n_rows, -1, dtype=np.int64)
-        key_row[v] = c_inv
-        H = batch_histograms(fb, key_row, c_u.size, self.cfg)
-        return [
-            (str(s_u[c // w_span]), int(c % w_span + w_min), H[ki])
-            for ki, c in enumerate(c_u)
-        ]
-
-    def _buffer_by_governing(self, batch, src, govern) -> None:
+    def _buffer_by_window(self, batch, src, govern) -> None:
         """Buffer each row under its governing (source, window) key —
-        vectorized grouped take (one stable argsort over the combo key, one
-        ``batch.take`` per UNIQUE pair; stable order keeps each key's rows
-        in arrival order, byte-identical to the per-row form)."""
-        s_u, s_inv = np.unique(src, return_inverse=True)
-        g_min = int(govern.min())
-        span = int(govern.max()) - g_min + 1
-        combo = s_inv.astype(np.int64) * span + (govern - g_min)
-        order = np.argsort(combo, kind="stable")
-        c_sorted = combo[order]
-        starts = np.nonzero(np.concatenate([[True], c_sorted[1:] != c_sorted[:-1]]))[0]
-        ends = np.append(starts[1:], combo.size)
-        for a, b in zip(starts, ends):
-            c = int(c_sorted[a])
-            key = (str(s_u[c // span]), int(c % span + g_min))
-            self.buffers.setdefault(key, []).append(batch.take(pa.array(order[a:b])))
+        vectorized grouped take (one stable argsort over the factorized
+        key, one ``batch.take`` per UNIQUE pair; stable order keeps each
+        key's rows in arrival order, byte-identical to the per-row form)."""
+        s_u, w_min, w_span, c_u, c_inv = factorize_key_pairs(src, govern)
+        order = np.argsort(c_inv, kind="stable")
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(c_inv))])
+        for k, c in enumerate(c_u):
+            key = (str(s_u[c // w_span]), int(c % w_span + w_min))
+            idx = pa.array(order[bounds[k] : bounds[k + 1]])
+            self.buffers.setdefault(key, []).append(batch.take(idx))
 
     def _rewrite_parts(
         self, parts: list[tuple[list[pa.Table], int | np.ndarray]]
@@ -358,30 +318,13 @@ class KeyedStateActor(_WindowDecisions, _StagedEmitterBase, Resettable):
         rows = pa.concat_tables(tables)
         wm_row = np.concatenate(wm_parts)
         self.n_emitted += rows.num_rows
-        cap = _FUSED_REWRITE_ROWS
-        return [
-            self._rewrite_rows(rows.slice(a, cap), wm_row[a : a + cap])
-            for a in range(0, rows.num_rows, cap)
-        ]
-
-    def _rewrite_rows(self, rows: pa.Table, wm_row: np.ndarray) -> pa.Table:
-        cfg = self.cfg
-        fb = flatten_list_column(rows["tokens"])
-        res = process_batch_flat(fb, wm_row, cfg)
-        off32 = pa.array(fb.offsets.astype(np.int32), pa.int32())
-        return pa.table(
-            {
-                "doc_id": rows["doc_id"],
-                "tokens": pa.ListArray.from_arrays(off32, pa.array(res.values, pa.int32())),
-                "n_tok": rows["n_tok"],
-                "source": rows["source"],
-                "event_ts": rows["event_ts"],
-                "wm_token": pa.array(res.wm_row, pa.int32()),
-                "coverage_pct": pa.array(res.coverage_pct, pa.float64()),
-                "radius": pa.array(res.radius, pa.int32()),
-                "n_passes": pa.array(res.n_passes, pa.int32()),
-            }
-        )
+        out = []
+        for a in range(0, rows.num_rows, _FUSED_REWRITE_ROWS):
+            part = rows.slice(a, _FUSED_REWRITE_ROWS)
+            fb = flatten_list_column(part["tokens"])
+            res = process_batch_flat(fb, wm_row[a : a + _FUSED_REWRITE_ROWS], self.cfg)
+            out.append(rewritten_table(part, fb, res))
+        return out
 
     # -- the delta protocol ----------------------------------------------
     #
@@ -405,18 +348,11 @@ class KeyedStateActor(_WindowDecisions, _StagedEmitterBase, Resettable):
         if cfg.window_kind == "session":
             return self._session_partial(batch)
         batch, ts, src, govern = self._split_late(batch, watermark)
-        out_src: list[str] = []
-        out_win: list[int] = []
-        hists: list[np.ndarray] = []
-        if batch.num_rows:
-            fb = flatten_list_column(batch["tokens"])
-            for win, valid in self._contributing(ts):
-                for s, w, h in self._combo_histograms(fb, ts.size, src, win, valid):
-                    out_src.append(s)
-                    out_win.append(w)
-                    hists.append(h)
-            self._buffer_by_governing(batch, src, govern)
-        Hm = np.stack(hists) if hists else np.zeros((0, cfg.gray_mod), dtype=np.int64)
+        if not batch.num_rows:
+            return [], [], np.zeros((0, cfg.gray_mod), dtype=np.int64), self.n_late
+        fb = flatten_list_column(batch["tokens"])
+        out_src, out_win, Hm = window_partials(fb, src, contributing_windows(ts, cfg), cfg)
+        self._buffer_by_window(batch, src, govern)
         return out_src, out_win, Hm, self.n_late
 
     def _session_partial(self, batch: pa.Table):

@@ -79,7 +79,7 @@ def test_auto_flagship_matches_golden(ray_session, tmp_path):
     cfg = DEFAULT_CONFIG.with_(detection_method="auto", window_kind="global")
     table = pq.read_table(p)
     expected = golden.golden_pipeline(table, cfg).sort_by("doc_id")
-    out = run_flagship(read_sequences(p), cfg, batch_size=64, concurrency=2)
+    out = run_flagship(read_sequences(p), cfg, batch_size=64)
     got = pa.concat_tables(
         [pa.table(b) for b in out.iter_batches(batch_format="pyarrow")]
     ).sort_by("doc_id")
@@ -172,7 +172,7 @@ def test_auto_tuned_pipeline_matches_golden(ray_session, tmp_path):
     expected = golden_auto_tuned(table, cfg).sort_by("doc_id")
     from pdf_watermark_removal_otsu_inpaint_ray.sources import read_sequences
 
-    out = run_auto_tuned(read_sequences(p), cfg, batch_size=64, concurrency=2)
+    out = run_auto_tuned(read_sequences(p), cfg, batch_size=64)
     got = pa.concat_tables(
         [pa.table(b) for b in out.iter_batches(batch_format="pyarrow")]
     ).sort_by("doc_id")

@@ -40,7 +40,7 @@ def test_fixed_wm_token_golden_and_pipeline(ray_session, tmp_path):
     table = pq.read_table(p)
     expected = golden.golden_pipeline(table, cfg).sort_by("doc_id")
     assert (np.asarray(expected["wm_token"]) == 150).all()
-    out = run_flagship(read_sequences(p), cfg, batch_size=64, concurrency=2)
+    out = run_flagship(read_sequences(p), cfg, batch_size=64)
     got = pa.concat_tables(
         [pa.table(b) for b in out.iter_batches(batch_format="pyarrow")]
     ).sort_by("doc_id")

@@ -5,7 +5,7 @@ Every finalize path decides each due window's (or session's) token on its
 own and then rewrites the whole round with one ``process_batch_flat`` call
 per ``_FUSED_REWRITE_ROWS`` rows.  These tests count the kernel calls and
 check the output byte for byte against rewriting each window alone with its
-token.
+token.  The driver's empty output must carry the schema of a collected one.
 """
 
 import math
@@ -16,6 +16,9 @@ import pytest
 
 from pdf_watermark_removal_otsu_inpaint_ray import golden
 from pdf_watermark_removal_otsu_inpaint_ray.config import DEFAULT_CONFIG
+from pdf_watermark_removal_otsu_inpaint_ray.pipelines import streaming
+from pdf_watermark_removal_otsu_inpaint_ray.stages import kernels
+from pdf_watermark_removal_otsu_inpaint_ray.stages.inpaint import rewritten_table
 from pdf_watermark_removal_otsu_inpaint_ray.state import keyed_state
 from pdf_watermark_removal_otsu_inpaint_ray.synth import generate_stream
 
@@ -69,14 +72,16 @@ def _hand_rows(source, items, schema):
 
 
 def _per_window(table, row_key, token_of):
-    """The reference: each window's rows rewritten ALONE with its token."""
-    ref = _actor(DEFAULT_CONFIG)
+    """The reference: each window's rows rewritten ALONE with its token,
+    through the kernel module itself, so no reference call is counted as
+    an actor kernel call."""
     keys = list(zip(table["source"].to_pylist(), row_key.tolist()))
     out = []
     for k in sorted(set(keys)):
-        idx = [i for i, kk in enumerate(keys) if kk == k]
-        rows = table.take(pa.array(idx))
-        out.append(ref._rewrite_rows(rows, np.full(len(idx), token_of(k), np.int64)))
+        rows = table.take(pa.array([i for i, kk in enumerate(keys) if kk == k]))
+        fb = kernels.flatten_list_column(rows["tokens"])
+        wm_row = np.full(rows.num_rows, token_of(k), np.int64)
+        out.append(rewritten_table(rows, fb, kernels.process_batch_flat(fb, wm_row, DEFAULT_CONFIG)))
     return pa.concat_tables(out).sort_by("doc_id")
 
 
@@ -264,3 +269,18 @@ def test_flush_groups_stay_under_the_cap(kernel_calls):
     assert len(kernel_calls) == math.ceil(table.num_rows / cap) >= 2
     assert max(kernel_calls) <= cap and sum(kernel_calls) == table.num_rows
     assert sum(t.num_rows for t in out) == table.num_rows
+
+
+def test_empty_output_has_the_collected_schema():
+    """``_inpaint_output([])`` is the empty table of exactly the schema a
+    non-empty driver-collected inpaint output has."""
+    cfg = DEFAULT_CONFIG.with_(window_kind="tumbling", window_size=16)
+    table = _stream(cfg, n=200)
+    actor = _actor(cfg)
+    actor.ingest(table, LOW_WM)
+    actor.flush()
+    collected = streaming._inpaint_output(_held_output(actor))
+    assert collected.num_rows == table.num_rows
+    empty = streaming._inpaint_output([])
+    assert empty.num_rows == 0
+    assert empty.schema.equals(collected.schema, check_metadata=True)

@@ -4,6 +4,7 @@ motif max-span overrides)."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from pdf_watermark_removal_otsu_inpaint_ray import golden
 from pdf_watermark_removal_otsu_inpaint_ray.config import DEFAULT_CONFIG
@@ -159,3 +160,36 @@ def test_process_cache_distinct_configs_and_bound():
         inp.make_inpaint_fn(wm, DEFAULT_CONFIG.with_(tolerance=tol))(batch)
     assert len(inp._PROCESS_CACHE) <= inp._PROCESS_CACHE_MAX
     inp._PROCESS_CACHE.clear()
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        dict(window_kind="tumbling", window_size=16),
+        dict(window_kind="sliding", window_size=20, window_slide=8),
+        dict(window_kind="global"),
+    ],
+    ids=["tumbling", "sliding", "global"],
+)
+def test_histogram_partials_match_golden_windows(window):
+    """Phase 1's partial rows (``contributing_windows`` + ``window_partials``,
+    which the keyed state actor runs too) equal the oracle's per-(source,
+    window) histograms: every row counted once in each window covering it."""
+    from pdf_watermark_removal_otsu_inpaint_ray.stages.detect import HistogramPartials
+    from pdf_watermark_removal_otsu_inpaint_ray.synth import generate_stream
+
+    cfg = DEFAULT_CONFIG.with_(**window)
+    table = generate_stream(300, seed=4, n_sources=5, n_tok_lo=8, n_tok_hi=40, cfg=cfg)
+    expected: dict = {}
+    for s, t, toks in zip(
+        table["source"].to_pylist(), table["event_ts"].to_pylist(), table["tokens"].to_pylist()
+    ):
+        h = golden.hist_of(golden.gray_of(np.asarray(toks, np.int64), cfg), cfg)
+        for w in golden.contributing_windows(t, cfg):
+            expected[(s, w)] = expected.get((s, w), 0) + h
+    out = HistogramPartials(cfg)(table)
+    got: dict = {}  # a sliding key gets one partial row per shift it appears in
+    for s, w, h in zip(*(out[c].to_pylist() for c in ("source", "window_id", "hist"))):
+        got[(s, w)] = got.get((s, w), 0) + np.asarray(h)
+    assert got.keys() == expected.keys()
+    assert all(np.array_equal(got[k], expected[k]) for k in expected)

@@ -51,7 +51,7 @@ def test_flagship_matches_golden(ray_session, stream_path, cfg):
     expected = golden.golden_pipeline(table, cfg)
 
     ds = read_sequences(stream_path)
-    out = run_flagship(ds, cfg, batch_size=128, concurrency=2)
+    out = run_flagship(ds, cfg, batch_size=128)
     got = pa.concat_tables(
         [pa.table(b) for b in out.iter_batches(batch_format="pyarrow")]
     )
@@ -81,7 +81,7 @@ def test_motif_override_plumbed(ray_session, stream_path):
     expected = golden.golden_pipeline(table, cfg, motif_rows={some_doc})
     out = run_flagship(
         read_sequences(stream_path), cfg, motif_docs=frozenset({some_doc}),
-        batch_size=128, concurrency=2,
+        batch_size=128,
     )
     got = pa.concat_tables([pa.table(b) for b in out.iter_batches(batch_format="pyarrow")])
     _assert_equal_outputs(got, expected)
@@ -143,9 +143,9 @@ def test_tree_merge_partials_adversarial_cardinality(ray_session, tmp_path):
 
 
 def test_bare_compute_wm_table_session_windows(ray_session, tmp_path):
-    """Review finding: the public phase-1 entry (compute_wm_table /
-    detect_watermarks without a session_map) crashed for session windows —
-    it must auto-build the mapping and agree with the pre-built-map path."""
+    """Review finding: the public phase-1 entry (compute_wm_table without a
+    session_map) crashed for session windows — it must auto-build the
+    mapping and agree with the pre-built-map path."""
     import ray.data
 
     from pdf_watermark_removal_otsu_inpaint_ray import synth

@@ -39,14 +39,14 @@ def test_summary_and_manifests(ray_session, tmp_path):
     p = str(tmp_path / "s.parquet")
     synth.write_stream(p, 300, n_sources=3, n_tok_lo=48, n_tok_hi=128)
     cfg = DEFAULT_CONFIG.with_(window_kind="tumbling", window_size=32)
-    out = run_flagship(read_sequences(p), cfg, batch_size=64, concurrency=2)
+    out = run_flagship(read_sequences(p), cfg, batch_size=64)
     summary = stats.summarize_output(out)
     assert summary["totals"]["rows"] == 300
     assert summary["totals"]["sources"] == 3
     assert summary["totals"]["mean_coverage_pct"] > 0
 
     out_dir = str(tmp_path / "out")
-    out2 = run_flagship(read_sequences(p), cfg, batch_size=64, concurrency=2)
+    out2 = run_flagship(read_sequences(p), cfg, batch_size=64)
     write_exactly_once(out2, out_dir, num_partitions=4)
     m = stats.manifest_metrics(out_dir)
     assert m["committed"] == 4 and m["total_rows"] == 300
